@@ -23,9 +23,6 @@ from .polycore import (
     MultiPoly,
     PolyMatrix,
     extract_monomial_factor,
-    partial_derivative,
-    poly_eval,
-    poly_mul,
     resultant_univariate,
     sym_det,
     symbolic_matrix,
@@ -89,9 +86,6 @@ __all__ = [
     "MultiPoly",
     "PolyMatrix",
     "extract_monomial_factor",
-    "partial_derivative",
-    "poly_eval",
-    "poly_mul",
     "resultant_univariate",
     "sym_det",
     "symbolic_matrix",

@@ -176,7 +176,7 @@ def _cmd_heine(args):
         "branches": branches,
     }
     if not args.systems_only:
-        eigs = heine.heine_solve(A, tol=args.tol, config=_solver_config(args))
+        eigs = heine.heine_solve(A, config=_solver_config(args))
         payload["eigenvalues"] = [e.as_dict() for e in eigs]
         payload["total_multiplicity"] = sum(e.multiplicity or 0 for e in eigs)
     return payload, None
@@ -251,7 +251,7 @@ def _cmd_discriminant23(args):
         pencil.PencilSpec(A, pencil.standard_diagonal_basis(2, 3, A.domain)),
         _solver_config(args),
     )
-    multiple = disc23.multiple_eigenvalue_oracle(A, config=_solver_config(args))
+    multiple = disc23.has_multiple_eigenvalue(eigs)
     payload = {
         "status": "ok",
         "D0_value": _scalar_json(value),
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "discriminant23",
-        help="2x3 multiple-eigenvalue discriminant: D = a11^6 * D0; value, "
+        help="2x3 multiple-eigenvalue discriminant: D = -a13^6 * D0; value, "
         "eigenvalues and the coincidence oracle at a numeric matrix",
     )
     p.add_argument("--matrix")

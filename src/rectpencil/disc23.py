@@ -28,8 +28,9 @@ from .polycore import (
 
 AVARS = ("a11", "a12", "a13", "a21", "a22", "a23")
 LVARS = ("l1", "l2")
+COINCIDENCE_TOL = 1e-6
 
-# closed form of D / a11^6: 22 monomials in the six matrix entries
+# closed form of D0 = -D / a13^6: 22 monomials in the six matrix entries
 _D0_TERMS = (
     (-12, {"a13": 1, "a22": 2, "a11": 1}),
     (1, {"a22": 2, "a12": 2}),
@@ -158,14 +159,10 @@ def elimination_matrix(a: RectMatrix | None = None):
         f"a{i + 1}{j + 1}": a.entries[i][j] for i in range(2) for j in range(3)
     }
     grid = [
-        [MultiPoly.constant((), p.eval(point), _eval_domain(a)) for p in row]
+        [MultiPoly.constant((), p.eval(point), a.domain) for p in row]
         for row in matrix.entries
     ]
-    return PolyMatrix(grid), MultiPoly.constant((), det.eval(point), _eval_domain(a))
-
-
-def _eval_domain(a: RectMatrix):
-    return a.domain
+    return PolyMatrix(grid), MultiPoly.constant((), det.eval(point), a.domain)
 
 
 @lru_cache(maxsize=None)
@@ -250,13 +247,18 @@ def discriminant_ratio() -> Fraction:
     return ratio
 
 
-def multiple_eigenvalue_oracle(a: RectMatrix, tol: float = 1e-6,
+def multiple_eigenvalue_oracle(a: RectMatrix,
                                config: SolverConfig | None = None) -> bool:
-    """True when the pencil over the diagonal subspace has two eigenvalues
-    closer than ``tol`` (or one with multiplicity at least two)."""
+    """True when the pencil over the diagonal subspace has a multiple
+    eigenvalue, as decided by :func:`has_multiple_eigenvalue`."""
     _check_shape(a)
     basis = standard_diagonal_basis(2, 3, a.domain)
-    eigs = solve_eigenvalue_locus(PencilSpec(a, basis), config)
+    return has_multiple_eigenvalue(solve_eigenvalue_locus(PencilSpec(a, basis), config))
+
+
+def has_multiple_eigenvalue(eigs) -> bool:
+    """True when two of the eigenvalues lie closer than ``COINCIDENCE_TOL`` in
+    the max-norm, or one has multiplicity at least two."""
     if any(e.multiplicity is not None and e.multiplicity >= 2 for e in eigs):
         return True
     for i in range(len(eigs)):
@@ -264,6 +266,6 @@ def multiple_eigenvalue_oracle(a: RectMatrix, tol: float = 1e-6,
             dist = max(
                 abs(x - y) for x, y in zip(eigs[i].lambdas, eigs[j].lambdas)
             )
-            if dist < tol:
+            if dist < COINCIDENCE_TOL:
                 return True
     return False

@@ -12,21 +12,25 @@ classical Heine count binom(n, m-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .errors import NumericFailure, UsageError
 from .locus import (
     Eigenvalue,
     SolverConfig,
+    _is_exact_scalar,
     newton_system,
     system_local_multiplicity,
 )
-from .pencil import PencilSpec, RectMatrix, standard_diagonal_basis
-from .polycore import GaussianRational, MultiPoly
+from .pencil import (
+    RectMatrix,
+    member_array,
+    minor_residual,
+    normalize_at_largest,
+    solve_exact,
+    standard_diagonal_basis,
+)
+from .polycore import MultiPoly
 
 
 @dataclass(frozen=True)
@@ -143,40 +147,21 @@ def _is_linear(poly: MultiPoly) -> bool:
     return all(sum(e) <= 1 for e in poly.terms)
 
 
-def _solve_linear_exact(equations, variables):
-    """Unique solution of an exact square linear system, or None."""
-    nv = len(variables)
+def _augmented_rows(equations, nvars: int):
+    """Rows [A | b] of a linear system written as A x = b."""
     rows = []
     for eq in equations:
-        row = [Fraction(0)] * nv
-        rhs = Fraction(0)
+        row = [eq.domain.zero()] * (nvars + 1)
         for exp, c in eq.terms.items():
-            if not any(exp):
-                rhs = rhs - c
-            else:
+            if any(exp):
                 row[exp.index(1)] = c
-        rows.append((row, rhs))
-    # gaussian elimination over the exact field
-    aug = [row + [rhs] for row, rhs in rows]
-    for c in range(nv):
-        pivot = next((r for r in range(c, nv) if aug[r][c] != 0), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        for r in range(nv):
-            if r == c:
-                continue
-            f = aug[r][c] / pv
-            if f == 0:
-                continue
-            for j in range(c, nv + 1):
-                aug[r][j] = aug[r][j] - f * aug[c][j]
-    return tuple(aug[c][nv] / aug[c][c] for c in range(nv))
+            else:
+                row[nvars] = -c
+        rows.append(row)
+    return rows
 
 
-def heine_solve(A: RectMatrix, tol: float = 1e-8,
-                config: SolverConfig | None = None):
+def heine_solve(A: RectMatrix, config: SolverConfig | None = None):
     """Solve every branch system and reassemble full eigenvalues.
 
     Linear branches of exact matrices are solved exactly; the rest go through
@@ -186,11 +171,10 @@ def heine_solve(A: RectMatrix, tol: float = 1e-8,
     """
     if not check_heine_admissible(A):
         raise UsageError("matrix is not upper-triangular with distinct diagonal")
-    config = config or SolverConfig(tol=tol)
+    config = config or SolverConfig()
     m, n = A.rows, A.cols
-    k = n - m + 1
-    basis = standard_diagonal_basis(m, n, A.domain)
-    spec = PencilSpec(A, basis)
+    base_np = A.to_numpy()
+    basis_np = [L.to_numpy() for L in standard_diagonal_basis(m, n, A.domain)]
     systems = build_branch_systems(A)
     _, per_branch = heine_count(m, n)
     scale = 1.0 + A.frobenius()
@@ -205,7 +189,7 @@ def heine_solve(A: RectMatrix, tol: float = 1e-8,
             }
             continue
         for tail, mult in found:
-            eig = _assemble_eigenvalue(A, spec, bs, tail, mult, config.tol)
+            eig = _assemble_eigenvalue(A, base_np, basis_np, bs, tail, mult, config.tol)
             out.append((bs.branch_index, eig))
     if shortfalls:
         raise NumericFailure(
@@ -226,22 +210,19 @@ def _solve_branch(bs: BranchSystem, expected: int, config: SolverConfig,
     """Roots of one branch system with multiplicities: list of (tail, mult)."""
     if not bs.equations:
         return [((), 1)]
-    lvars = bs.variables
     exact_linear = (
         expected == 1
         and all(_is_linear(eq) for eq in bs.equations)
         and bs.equations[0].domain.is_exact
     )
     if exact_linear:
-        sol = _solve_linear_exact(bs.equations, lvars)
+        sol = solve_exact(_augmented_rows(bs.equations, len(bs.variables)))
         if sol is not None:
             return [(sol, 1)]
     for factor, seed_shift in ((1, 0), (4, 1)):
-        cfg = SolverConfig(
-            tol=config.tol,
+        cfg = replace(
+            config,
             starts=(config.starts or 40 * expected) * factor,
-            max_iter=config.max_iter,
-            cluster_radius=config.cluster_radius,
             seed=config.seed + seed_shift,
         )
         roots = newton_system(list(bs.equations), cfg, scale=scale)
@@ -261,10 +242,8 @@ def _solve_branch(bs: BranchSystem, expected: int, config: SolverConfig,
     return found
 
 
-def _assemble_eigenvalue(A, spec, bs: BranchSystem, tail, mult, tol):
-    k = spec.k
-    exact_tail = all(isinstance(v, (int, Fraction, GaussianRational)) for v in tail)
-    exact = exact_tail and A.domain.is_exact
+def _assemble_eigenvalue(A, base_np, basis_np, bs: BranchSystem, tail, mult, tol):
+    exact = A.domain.is_exact and all(_is_exact_scalar(v) for v in tail)
     if exact:
         exact_lambdas = (bs.lambda1,) + tuple(tail)
         lambdas = tuple(complex(v) for v in exact_lambdas)
@@ -272,22 +251,12 @@ def _assemble_eigenvalue(A, spec, bs: BranchSystem, tail, mult, tol):
         exact_lambdas = None
         lambdas = (complex(bs.lambda1),) + tuple(complex(v) for v in tail)
     point = dict(zip(bs.variables, tail))
-    kappa_tail = []
-    for num, den in zip(bs.kernel_numerators, bs.kernel_denominators):
-        value = num.eval(point) if point else num.eval({})
-        kappa_tail.append(complex(value) / complex(den))
-    kappa = [0j] * (bs.branch_index - 1) + kappa_tail
-    kappa = np.array(kappa, dtype=complex)
-    pivot = int(np.argmax(np.abs(kappa)))
-    kappa = tuple(complex(z) for z in kappa / kappa[pivot])
-    member = spec.base.to_numpy()
-    for z, L in zip(lambdas, spec.basis):
-        member += z * L.to_numpy()
-    m, n = spec.m, spec.n
-    residual = max(
-        abs(np.linalg.det(member[:, cols]))
-        for cols in combinations(range(n), m)
-    ) / max(1.0, np.linalg.norm(member)) ** m
+    kappa_tail = [
+        complex(num.eval(point)) / complex(den)
+        for num, den in zip(bs.kernel_numerators, bs.kernel_denominators)
+    ]
+    kappa = normalize_at_largest([0j] * (bs.branch_index - 1) + kappa_tail)
+    residual = minor_residual(member_array(base_np, basis_np, lambdas))
     if residual > 10 * tol:
         raise NumericFailure(
             f"branch {bs.branch_index} produced a point with residual {residual:.3e}",
@@ -299,7 +268,7 @@ def _assemble_eigenvalue(A, spec, bs: BranchSystem, tail, mult, tol):
     return Eigenvalue(
         lambdas=lambdas,
         kappa=kappa,
-        residual=float(residual),
+        residual=residual,
         multiplicity=mult,
         flags=flags,
         exact_lambdas=exact_lambdas,

@@ -10,7 +10,7 @@ corank of truncated Macaulay matrices of the minor ideal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +19,11 @@ from .errors import NumericFailure, UsageError
 from .pencil import (
     PencilSpec,
     RectMatrix,
-    _exact_rank,
     maximal_minors,
+    member_array,
+    minor_residual,
+    normalize_at_largest,
+    row_echelon,
 )
 from .polycore import (
     COMPLEX,
@@ -34,6 +37,9 @@ from .polycore import (
 
 JACOBIAN_SINGULAR_RTOL = 1e-8
 MACAULAY_RANK_RTOL = 1e-8
+NEWTON_MAX_ITER = 100
+# max-norm distance under which Newton endpoints count as one root
+CLUSTER_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -46,13 +52,11 @@ class SolverConfig:
 
     tol: float = 1e-8
     starts: int | None = None
-    max_iter: int = 100
-    cluster_radius: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter <= 0 or self.cluster_radius <= 0:
-            raise UsageError("solver tolerances and iteration counts must be positive")
+        if self.tol <= 0:
+            raise UsageError("solver tolerance must be positive")
         if self.starts is not None and self.starts <= 0:
             raise UsageError("start count must be positive")
 
@@ -191,7 +195,7 @@ def newton_system(equations, config: SolverConfig, scale: float = 1.0):
     X *= scale
     active = np.ones(nstarts, dtype=bool)
     converged = np.zeros(nstarts, dtype=bool)
-    for _ in range(config.max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -223,7 +227,7 @@ def newton_system(equations, config: SolverConfig, scale: float = 1.0):
     pts = pts[keep]
     if pts.size == 0:
         return []
-    clusters = _cluster([tuple(p) for p in pts], config.cluster_radius)
+    clusters = _cluster([tuple(p) for p in pts], CLUSTER_RADIUS)
     roots = []
     for cl in clusters:
         rep = tuple(np.mean(np.array(cl, dtype=complex), axis=0))
@@ -264,14 +268,6 @@ def _deflate_polish(eqs_system: _CompiledSystem, detj_system: _CompiledSystem,
     return tuple(x)
 
 
-def _kappa_from_svd(member: np.ndarray):
-    u, s, _ = np.linalg.svd(member)
-    kappa = u[:, -1].conj()
-    pivot = int(np.argmax(np.abs(kappa)))
-    kappa = kappa / kappa[pivot]
-    return tuple(kappa)
-
-
 def _bordered_minors(Mpoly: PolyMatrix, m: int, n: int):
     return [
         sym_det(Mpoly.submatrix(range(m), sorted(set(range(m - 1)) | {j})))
@@ -291,22 +287,13 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
     expected = spec.expected_count()
     lvars = tuple(f"l{i + 1}" for i in range(k))
     Mpoly = pencil_matrix_poly(spec.base, spec.basis, lvars)
-    all_minors = _CompiledSystem(maximal_minors(Mpoly), lvars)
     base_np = spec.base.to_numpy()
     basis_np = [L.to_numpy() for L in spec.basis]
     data_scale = 1.0 + spec.base.frobenius()
     nstarts = config.starts if config.starts is not None else 40 * expected
 
-    def member_at(lam):
-        out = base_np.copy()
-        for z, L in zip(lam, basis_np):
-            out += z * L
-        return out
-
-    def full_residual(lam):
-        X = np.array([lam], dtype=complex)
-        vals = np.abs(all_minors.eval(X)[0]).max()
-        return float(vals / max(1.0, np.linalg.norm(member_at(lam))) ** m)
+    def residual(lam):
+        return minor_residual(member_array(base_np, basis_np, lam))
 
     attempts = [
         (nstarts, False, config.seed),
@@ -316,14 +303,7 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
     last = []
     for starts, mix, seed in attempts:
         eqs = _attempt_equations(Mpoly, m, n, mix, seed)
-        cfg = SolverConfig(
-            tol=config.tol,
-            starts=starts,
-            max_iter=config.max_iter,
-            cluster_radius=config.cluster_radius,
-            seed=seed,
-        )
-        roots = newton_system(eqs, cfg, scale=data_scale)
+        roots = newton_system(eqs, replace(config, starts=starts, seed=seed), scale=data_scale)
         eqs_system = _CompiledSystem(eqs, lvars)
         detj = sym_det(
             PolyMatrix([[p.derivative(v) for v in lvars] for p in eqs])
@@ -334,11 +314,11 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
             point = root.point
             if root.possibly_multiple:
                 polished = _deflate_polish(eqs_system, detj_system, point)
-                if full_residual(polished) <= full_residual(point):
+                if residual(polished) <= residual(point):
                     point = polished
-            if full_residual(point) <= config.tol:
+            if residual(point) <= config.tol:
                 candidates.append((point, root))
-        merged = _cluster([p for p, _ in candidates], config.cluster_radius)
+        merged = _cluster([p for p, _ in candidates], CLUSTER_RADIUS)
         flags_by_point = {p: r for p, r in candidates}
         eigenvalues = []
         total = 0
@@ -348,20 +328,15 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
             )
             root = flags_by_point[cl[0]]
             multiple_hint = root.possibly_multiple or root.cluster_size > 1 or len(cl) > 1
-            if multiple_hint:
-                mult = local_multiplicity(spec, rep)
-                flags = ("possibly-multiple", "numerical")
-            else:
-                mult = 1
-                flags = ()
-            member = member_at(rep)
+            mult = local_multiplicity(spec, rep) if multiple_hint else 1
+            member = member_array(base_np, basis_np, rep)
             eigenvalues.append(
                 Eigenvalue(
                     lambdas=tuple(complex(z) for z in rep),
-                    kappa=_kappa_from_svd(member),
-                    residual=full_residual(rep),
+                    kappa=normalize_at_largest(np.linalg.svd(member)[0][:, -1].conj()),
+                    residual=minor_residual(member),
                     multiplicity=mult,
-                    flags=flags,
+                    flags=() if mult == 1 else ("possibly-multiple", "numerical"),
                 )
             )
             total += mult if mult is not None else 0
@@ -506,7 +481,7 @@ def macaulay_multiplicity(generators, degree_cap: int = 8, exact: bool = False):
         if not rows:
             rank = 0
         elif exact:
-            rank = _exact_rank([list(r) for r in rows])
+            rank = row_echelon(rows)[0]
         else:
             # generators are normalized to unit sup-coefficient, so residual
             # noise rows (a truncation level whose true block is zero) must
@@ -557,17 +532,7 @@ def local_multiplicity(spec: PencilSpec, at, degree_cap: int = 8):
         and all(L.domain.is_exact for L in spec.basis)
     )
     tvars = tuple(f"t{i + 1}" for i in range(spec.k))
-    if exact:
-        shifted = spec.member(point)
-        Mpoly = pencil_matrix_poly(shifted, spec.basis, tvars)
-    else:
-        shifted = RectMatrix(
-            [
-                [complex(v) for v in row]
-                for row in spec.member([complex(z) for z in point]).entries
-            ],
-            COMPLEX,
-        )
-        Mpoly = pencil_matrix_poly(shifted, spec.basis, tvars)
-    gens = maximal_minors(Mpoly)
+    # complex parameters make the member a complex matrix
+    shifted = spec.member(point if exact else [complex(z) for z in point])
+    gens = maximal_minors(pencil_matrix_poly(shifted, spec.basis, tvars))
     return macaulay_multiplicity(gens, degree_cap=degree_cap, exact=exact)

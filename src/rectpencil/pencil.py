@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +31,11 @@ from .polycore import (
 )
 
 FLOAT_RANK_RTOL = 1e-8
+# probabilistic transversality (three or more basis matrices): random affine
+# slices, Newton starts per slice, and the relative minor residual of a find
+TRANSVERSALITY_SLICES = 5
+TRANSVERSALITY_STARTS = 10
+TRANSVERSALITY_TOL = 1e-8
 
 
 class RectMatrix:
@@ -131,7 +137,7 @@ class RectMatrix:
 
     def rank(self) -> int:
         if self.domain.is_exact:
-            return _exact_rank([list(row) for row in self.entries])
+            return row_echelon([list(row) for row in self.entries])[0]
         a = self.to_numpy()
         s = np.linalg.svd(a, compute_uv=False)
         if s.size == 0 or s[0] == 0.0:
@@ -142,58 +148,93 @@ class RectMatrix:
         if self.rows != self.cols:
             raise UsageError("determinant of a non-square matrix")
         if self.domain.is_exact:
-            return _exact_det([list(row) for row in self.entries], self.domain)
+            rank, product, _ = row_echelon([list(row) for row in self.entries])
+            return product if rank == self.rows else self.domain.zero()
         return complex(np.linalg.det(self.to_numpy()))
 
     def __repr__(self):
         return f"RectMatrix({self.rows}x{self.cols}, {self.domain.tag})"
 
 
-def _exact_rank(rows) -> int:
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+def row_echelon(rows):
+    """Forward Gaussian elimination over an exact field, in place.
+
+    Each column takes the first row at or below the current one with a nonzero
+    entry as its pivot and clears the entries below it; there is no back
+    substitution.  Returns ``(rank, pivot_product, rows)``: the first ``rank``
+    rows are the echelon rows, and ``pivot_product`` is the product of the
+    pivots signed by the row swaps, the determinant of a full-rank square
+    matrix.
+    """
+    ncols = len(rows[0]) if rows else 0
     rank = 0
-    r = 0
+    product = 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if rank == len(rows):
+            break
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, len(rows)):
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            product = -product
+        pv = rows[rank][c]
+        product = product * pv
+        for i in range(rank + 1, len(rows)):
             f = rows[i][c] / pv
             if f == 0:
                 continue
             for j in range(c, ncols):
-                rows[i][j] = rows[i][j] - f * rows[r][j]
-        r += 1
+                rows[i][j] = rows[i][j] - f * rows[rank][j]
         rank += 1
-        if r == len(rows):
-            break
-    return rank
+    return rank, product, rows
 
 
-def _exact_det(rows, domain: Domain):
-    n = len(rows)
-    sign = 1
-    det = domain.one()
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return domain.zero()
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        det = det * pv
-        for i in range(c + 1, n):
-            f = rows[i][c] / pv
-            if f == 0:
-                continue
-            for j in range(c, n):
-                rows[i][j] = rows[i][j] - f * rows[c][j]
-    return det if sign > 0 else -det
+def solve_exact(rows):
+    """Unique solution of the square system with augmented rows ``[A | b]``
+    over an exact field, or None when A is singular.  Reduces ``rows`` in
+    place."""
+    nv = len(rows)
+    row_echelon(rows)
+    if any(rows[r][r] == 0 for r in range(nv)):
+        return None
+    x = [None] * nv
+    for r in reversed(range(nv)):
+        acc = rows[r][nv]
+        for j in range(r + 1, nv):
+            acc = acc - rows[r][j] * x[j]
+        x[r] = acc / rows[r][r]
+    return tuple(x)
+
+
+# -- numeric pencil members ------------------------------------------------------
+
+
+def member_array(base: np.ndarray, basis, lambdas) -> np.ndarray:
+    """The numeric pencil member base + sum(lambda_i * L_i) of complex arrays."""
+    out = np.array(base, dtype=complex)
+    for z, L in zip(lambdas, basis):
+        out += z * L
+    return out
+
+
+@lru_cache(maxsize=None)
+def _column_subsets(m: int, n: int) -> np.ndarray:
+    return np.array(list(combinations(range(n), m)), dtype=np.intp)
+
+
+def minor_residual(member: np.ndarray) -> float:
+    """Largest modulus of the maximal minors of a numeric m x n member (column
+    subsets in :func:`maximal_minors` order), over max(1, ||M||_F)^m."""
+    m, n = member.shape
+    minors = np.linalg.det(np.swapaxes(member[:, _column_subsets(m, n)], 0, 1))
+    return float(np.abs(minors).max() / max(1.0, np.linalg.norm(member)) ** m)
+
+
+def normalize_at_largest(vector) -> tuple:
+    """The vector scaled so that its entry of largest modulus is 1."""
+    v = np.asarray(vector, dtype=complex)
+    return tuple(complex(z) for z in v / v[int(np.argmax(np.abs(v)))])
 
 
 # -- diagonal subspace ---------------------------------------------------------
@@ -331,14 +372,8 @@ class PencilSpec:
 
 
 def _require_independent(basis):
-    flat = [list(L.flatten()) for L in basis]
-    if basis[0].domain.is_exact:
-        rank = _exact_rank([[v for v in row] for row in flat])
-    else:
-        a = np.array([[complex(v) for v in row] for row in flat], dtype=complex)
-        s = np.linalg.svd(a, compute_uv=False)
-        rank = int(np.sum(s > FLOAT_RANK_RTOL * s[0])) if s.size and s[0] else 0
-    if rank != len(basis):
+    flat = RectMatrix([L.flatten() for L in basis], join_domains(*(L.domain for L in basis)))
+    if flat.rank() != len(basis):
         raise UsageError("basis matrices are linearly dependent")
 
 
@@ -403,8 +438,7 @@ def _univariate_gcd(polys):
     return g
 
 
-def transversality_check(basis, seed: int = 12345, trials: int = 50,
-                         tol: float = 1e-8) -> str:
+def transversality_check(basis, seed: int = 12345) -> str:
     """Certify whether the span of ``basis`` meets the rank-deficient variety
     only at zero.
 
@@ -427,7 +461,7 @@ def transversality_check(basis, seed: int = 12345, trials: int = 50,
         L = basis[0]
         if L.domain.is_exact:
             return "transversal" if L.det() != 0 else "non-transversal"
-        return "transversal" if abs(L.det()) > tol * max(1.0, L.frobenius()) ** m else "non-transversal"
+        return "transversal" if minor_residual(L.to_numpy()) > TRANSVERSALITY_TOL else "non-transversal"
 
     if k == 2:
         cvars = ("c1", "c2")
@@ -464,13 +498,11 @@ def transversality_check(basis, seed: int = 12345, trials: int = 50,
         return "transversal" if len(g) == 1 else "non-transversal"
 
     # k >= 3: probabilistic slices; import here to avoid a module cycle
-    from .locus import SolverConfig, newton_system, pencil_matrix_poly
+    from .locus import SolverConfig, _bordered_minors, newton_system, pencil_matrix_poly
 
     rng = np.random.default_rng(seed)
-    slices = 5
-    per_slice = max(1, trials // slices)
     zero_base = RectMatrix.zeros(m, n, COMPLEX)
-    for _ in range(slices):
+    for _ in range(TRANSVERSALITY_SLICES):
         alpha = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         c0 = alpha.conj() / np.vdot(alpha, alpha).real
         # orthonormal directions spanning the hyperplane alpha . c = const
@@ -489,23 +521,18 @@ def transversality_check(basis, seed: int = 12345, trials: int = 50,
             slice_basis.append(Lj)
         tvars = tuple(f"t{j + 1}" for j in range(k - 1))
         Mpoly = pencil_matrix_poly(base, slice_basis, tvars)
-        bordered = [
-            sym_det(Mpoly.submatrix(range(m), list(range(m - 1)) + [j]))
-            for j in range(m - 1, n)
-        ]
-        eqs = bordered[: k - 1]
+        # a square system: the bordered minors of all columns but the last
+        eqs = _bordered_minors(Mpoly, m, n - 1)
         config = SolverConfig(
-            tol=tol, starts=per_slice, seed=int(rng.integers(0, 2**63 - 1))
+            tol=TRANSVERSALITY_TOL,
+            starts=TRANSVERSALITY_STARTS,
+            seed=int(rng.integers(0, 2**63 - 1)),
         )
-        all_minor_polys = maximal_minors(Mpoly)
+        base_np = base.to_numpy()
+        slice_np = [L.to_numpy() for L in slice_basis]
         for root in newton_system(eqs, config, scale=2.0):
-            point = dict(zip(tvars, root.point))
-            member = base
-            for j in range(k - 1):
-                member = member + slice_basis[j].scale(complex(root.point[j]))
-            scale = max(1.0, member.frobenius()) ** m
-            residual = max(abs(complex(p.eval(point))) for p in all_minor_polys)
-            if residual <= tol * scale:
+            member = member_array(base_np, slice_np, root.point)
+            if minor_residual(member) <= TRANSVERSALITY_TOL:
                 return "non-transversal"
     return "inconclusive"
 

@@ -263,13 +263,6 @@ class MultiPoly:
         idx = [self._var_index(v) for v in names]
         return {sum(e[i] for i in idx) for e in self.terms}
 
-    def is_homogeneous(self, names=None) -> bool:
-        if not self.terms:
-            return True
-        if names is None:
-            names = self.variables
-        return len(self.degrees_over(names)) == 1
-
     def _var_index(self, var) -> int:
         try:
             return self.variables.index(var)
@@ -547,10 +540,6 @@ class MultiPoly:
         return _parse_poly(text, tuple(variables), domain)
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _coeff_text(coeff, domain: Domain):
     """Render a coefficient; returns (body, negative) with the sign split off
     for purely real values.  Mixed Gaussian/complex values are parenthesized."""
@@ -568,13 +557,13 @@ def _coeff_text(coeff, domain: Domain):
         return f"({coeff.re}{sign}{imtxt})", False
     c = complex(coeff)
     if c.imag == 0:
-        return _fmt_float(abs(c.real)), c.real < 0
+        return f"{abs(c.real):.17g}", c.real < 0
     if c.real == 0:
         mag = abs(c.imag)
-        body = "i" if mag == 1 else f"{_fmt_float(mag)}*i"
+        body = "i" if mag == 1 else f"{mag:.17g}*i"
         return body, c.imag < 0
     sign = "+" if c.imag > 0 else "-"
-    return f"({_fmt_float(c.real)}{sign}{_fmt_float(abs(c.imag))}*i)", False
+    return f"({c.real:.17g}{sign}{abs(c.imag):.17g}*i)", False
 
 
 _TOKEN = re.compile(
@@ -820,21 +809,6 @@ def symbolic_matrix(rows: int, cols: int, prefix: str = "a",
 
 
 # -- module-level operations -------------------------------------------------
-
-
-def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact product of two polynomials over the same variable list."""
-    return p * q
-
-
-def poly_eval(p: MultiPoly, point: dict):
-    """Evaluate ``p`` at a full or partial assignment of its variables."""
-    return p.eval(point)
-
-
-def partial_derivative(p: MultiPoly, var) -> MultiPoly:
-    """Formal partial derivative of ``p`` with respect to ``var``."""
-    return p.derivative(var)
 
 
 def sym_det(M: PolyMatrix, method: str = "laplace") -> MultiPoly:

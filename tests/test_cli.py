@@ -125,6 +125,24 @@ def test_discriminant23_numeric(matrix_file):
     assert payload["D0_value"] != "0"
 
 
+@pytest.mark.parametrize("command", ["eigenvalues", "multiplicity", "discriminant23"])
+def test_one_locus_solve_per_command(matrix_file, monkeypatch, command):
+    from rectpencil import disc23, locus
+
+    calls = []
+    solve = locus.solve_eigenvalue_locus
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(locus, "solve_eigenvalue_locus", counted)
+    monkeypatch.setattr(disc23, "solve_eigenvalue_locus", counted)
+    code, _, _ = run_cli([command, "--matrix", matrix_file, "--seed", "3"])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_transversality_command():
     code, out, _ = run_cli(["transversality", "--basis", "diagonal", "--m", "2", "--n", "3"])
     assert code == EXIT_OK

@@ -29,7 +29,6 @@ from rectpencil.critical import (
     monomial_exponents,
     tangent_stack_matrix,
 )
-from rectpencil.pencil import _exact_rank
 
 from helpers import make_gen, rand_fraction, rand_rational_matrix
 
@@ -268,7 +267,7 @@ def test_minor_basis_3_2():
     for j, p in enumerate(mb.polys):
         for e, c in p.terms.items():
             grid[index[e]][j] = c
-    assert _exact_rank(grid) == 6
+    assert RectMatrix(grid).rank() == 6
 
 
 def test_basis_change_matrix_cases():

@@ -107,6 +107,18 @@ def test_zero_matrix_total_multiplicity(m, n):
     assert max(abs(z) for z in eigs[0].lambdas) < 1e-6
 
 
+def test_flags_follow_multiplicity():
+    gen = make_gen(5)
+    spec = PencilSpec(rand_rational_matrix(gen, 2, 4), standard_diagonal_basis(2, 4))
+    eigs = solve_eigenvalue_locus(spec, SolverConfig(seed=5))
+    assert [e.multiplicity for e in eigs] == [1] * math.comb(4, 1)
+    assert all(e.flags == () for e in eigs)
+    zero = PencilSpec(RectMatrix.zeros(2, 4), standard_diagonal_basis(2, 4))
+    (e,) = solve_eigenvalue_locus(zero, SolverConfig(seed=5))
+    assert e.multiplicity == 4
+    assert e.flags == ("possibly-multiple", "numerical")
+
+
 def test_scaling_homotopy():
     # eigenvalues of (eps * A) are eps times the eigenvalues of A
     gen = make_gen(79)

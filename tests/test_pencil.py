@@ -25,9 +25,11 @@ from rectpencil import (
     solve_eigenvalue_locus,
     standard_diagonal_basis,
     transversality_check,
+    sym_det,
     unit_diagonal_matrix,
 )
 from rectpencil.critical import build_T, kappa_variables
+from rectpencil.pencil import solve_exact
 
 from helpers import make_gen, rand_fraction, rand_rational_matrix
 
@@ -198,6 +200,39 @@ def test_minors_vanish_iff_corank_positive():
         full = rand_rational_matrix(gen, 2, 3)
         if corank(full) == 0:
             assert any(v != 0 for v in maximal_minors(full))
+
+
+@pytest.mark.parametrize("domain", [RATIONAL, GAUSSIAN])
+def test_exact_elimination_matches_symbolic_determinants(domain):
+    gen = make_gen(43)
+
+    def scalar():
+        # few small values, so that singular draws are common
+        re = Fraction(int(gen.integers(-2, 3)), int(gen.integers(1, 3)))
+        if domain is RATIONAL:
+            return re
+        return GaussianRational(re, Fraction(int(gen.integers(-1, 2))))
+
+    singular = 0
+    for trial in range(40):
+        size = 1 + trial % 4
+        A = RectMatrix([[scalar() for _ in range(size)] for _ in range(size)], domain)
+        det = A.det()
+        constant = PolyMatrix(
+            [[MultiPoly.constant((), v, domain) for v in row] for row in A.entries]
+        )
+        assert sym_det(constant, method="bareiss").eval({}) == det
+        assert sym_det(constant, method="laplace").eval({}) == det
+        assert (A.rank() == size) == (det != 0)
+        b = [scalar() for _ in range(size)]
+        x = solve_exact([list(row) + [bi] for row, bi in zip(A.entries, b)])
+        if det == 0:
+            singular += 1
+            assert x is None
+            continue
+        for row, bi in zip(A.entries, b):
+            assert sum((a * xj for a, xj in zip(row, x)), domain.zero()) == bi
+    assert 0 < singular < 40
 
 
 def test_cross_domain_corank_agreement():
