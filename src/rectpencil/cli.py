@@ -8,6 +8,7 @@ so identical inputs and seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -294,7 +295,9 @@ def _cmd_multiplicity(args):
     return payload, None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rectpencil",
         description=(

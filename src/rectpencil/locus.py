@@ -2,10 +2,12 @@
 
 The solver runs seeded multi-start Newton iteration on a square subsystem of
 maximal minors (columns {1..m-1} plus one varying column), filters candidates
-by the residual over all maximal minors, clusters coincident roots, recovers
-the left kernel vector from the singular value decomposition, and attaches
-multiplicities computed from the dimension of the local algebra (stabilized
-corank of truncated Macaulay matrices of the minor ideal).
+by the residual over all maximal minors, clusters coincident roots and
+recovers the left kernel vector from the singular value decomposition.  A
+root is certified simple, multiplicity 1, when the Jacobian of all maximal
+minors has full column rank there (one batched SVD over all roots); every other
+root gets its multiplicity from the dimension of the local algebra
+(stabilized corank of truncated Macaulay matrices of the minor ideal).
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ from .polycore import (
     sym_det,
 )
 
-JACOBIAN_SINGULAR_RTOL = 1e-8
+JACOBIAN_SINGULAR_RTOL = 1e-6
+# a root is certified simple when sigma_min of the Jacobian of all maximal
+# minors is at least this times max(1, ||M||_F)^(m-1) * max(1, max ||B_i||_F)
+CERTIFY_RTOL = 1e-6
 MACAULAY_RANK_RTOL = 1e-8
 NEWTON_MAX_ITER = 100
 # max-norm distance under which Newton endpoints count as one root
@@ -90,7 +95,12 @@ class Eigenvalue:
 
 
 class _CompiledSystem:
-    """Batched numpy evaluation of a list of polynomials and their Jacobian."""
+    """Batched numpy evaluation of a list of polynomials and their Jacobian.
+
+    Every polynomial and every first partial derivative is one coefficient
+    column over a shared monomial table, so one power table, one gather of
+    products and one matrix product give all values and the whole Jacobian.
+    """
 
     def __init__(self, polys, variables=None):
         if not polys:
@@ -99,39 +109,32 @@ class _CompiledSystem:
         for p in polys:
             if p.variables != self.variables:
                 raise UsageError("system polynomials must share one variable list")
-        self.polys = list(polys)
+        self.neq = len(polys)
         self.dim = len(self.variables)
-        self._tabs = [self._compile(p) for p in self.polys]
-        self._jac_tabs = None
+        # column j * (dim + 1) holds poly j, the next dim columns its partials
+        columns = [
+            q.terms
+            for p in polys
+            for q in (p, *(p.derivative(v) for v in self.variables))
+        ]
+        monomials = sorted({e for terms in columns for e in terms} | {(0,) * self.dim})
+        index = {e: t for t, e in enumerate(monomials)}
+        self._coeffs = np.zeros((len(monomials), len(columns)), dtype=complex)
+        for c, terms in enumerate(columns):
+            for e, v in terms.items():
+                self._coeffs[index[e], c] = complex(v)
+        self._exps = np.array(monomials, dtype=np.intp)
+        self._vars = np.arange(self.dim)
+        self._degree = int(self._exps.max(initial=0))
 
-    def _compile(self, poly):
-        if poly.is_zero:
-            return np.zeros((1, self.dim), dtype=np.int64), np.zeros(1, dtype=complex)
-        exps = np.array(sorted(poly.terms), dtype=np.int64)
-        coeffs = np.array(
-            [complex(poly.terms[tuple(e)]) for e in exps], dtype=complex
-        )
-        return exps, coeffs
-
-    def eval(self, X: np.ndarray) -> np.ndarray:
-        """Values at a batch of points; X is (S, dim), result (S, neq)."""
-        out = np.empty((X.shape[0], len(self._tabs)), dtype=complex)
-        for j, (exps, coeffs) in enumerate(self._tabs):
-            out[:, j] = np.prod(X[:, None, :] ** exps[None, :, :], axis=2) @ coeffs
-        return out
-
-    def jacobian(self, X: np.ndarray) -> np.ndarray:
-        if self._jac_tabs is None:
-            self._jac_tabs = [
-                [self._compile(p.derivative(v)) for v in self.variables]
-                for p in self.polys
-            ]
-        S = X.shape[0]
-        out = np.empty((S, len(self.polys), self.dim), dtype=complex)
-        for i, row in enumerate(self._jac_tabs):
-            for j, (exps, coeffs) in enumerate(row):
-                out[:, i, j] = np.prod(X[:, None, :] ** exps[None, :, :], axis=2) @ coeffs
-        return out
+    def values_and_jacobian(self, X: np.ndarray):
+        """Values (S, neq) and Jacobians (S, neq, dim) at a batch X of (S, dim)."""
+        powers = np.ones(X.shape + (self._degree + 1,), dtype=complex)
+        for d in range(1, self._degree + 1):
+            powers[..., d] = powers[..., d - 1] * X
+        table = powers[:, self._vars, self._exps].prod(axis=2)
+        out = (table @ self._coeffs).reshape(X.shape[0], self.neq, self.dim + 1)
+        return out[..., 0], out[..., 1:]
 
 
 def pencil_matrix_poly(base: RectMatrix, basis, varnames) -> PolyMatrix:
@@ -158,19 +161,30 @@ def pencil_matrix_poly(base: RectMatrix, basis, varnames) -> PolyMatrix:
     return PolyMatrix(grid)
 
 
-def _cluster(points, radius):
-    """Greedy clustering of solution vectors under the max-norm metric."""
-    order = sorted(points, key=lambda p: tuple((z.real, z.imag) for z in p))
-    clusters = []
-    for p in order:
-        for cl in clusters:
-            rep = cl[0]
-            if max(abs(a - b) for a, b in zip(p, rep)) <= radius:
-                cl.append(p)
-                break
-        else:
-            clusters.append([p])
-    return clusters
+def _cluster(points: np.ndarray, radius: float):
+    """Greedy clustering of the rows of ``points`` under the max-norm metric.
+
+    Points are visited in lexicographic (re, im) order; each joins the first
+    cluster whose first member lies within ``radius``, or opens a new one.
+    Returns the clusters in opening order as index arrays into ``points``,
+    each in visiting order.
+    """
+    keys = [part(points[:, j]) for j in reversed(range(points.shape[1]))
+            for part in (np.imag, np.real)]
+    order = np.lexsort(keys)
+    pts = points[order]
+    label = np.full(len(pts), -1)
+    opened = 0
+    free = np.arange(len(pts))
+    while free.size:
+        # the first free point opens a cluster; every free point within the
+        # radius of it has no earlier cluster in reach, so it joins this one
+        near = np.abs(pts[free] - pts[free[0]]).max(axis=1) <= radius
+        label[free[near]] = opened
+        opened += 1
+        free = free[~near]
+    by_label = np.argsort(label, kind="stable")
+    return np.split(order[by_label], np.cumsum(np.bincount(label))[:-1])
 
 
 def newton_system(equations, config: SolverConfig, scale: float = 1.0):
@@ -200,8 +214,7 @@ def newton_system(equations, config: SolverConfig, scale: float = 1.0):
         if idx.size == 0:
             break
         Xa = X[idx]
-        F = system.eval(Xa)
-        J = system.jacobian(Xa)
+        F, J = system.values_and_jacobian(Xa)
         delta = _solve_steps(J, F)
         bad = ~np.isfinite(delta).all(axis=1)
         if bad.any():
@@ -222,46 +235,44 @@ def newton_system(equations, config: SolverConfig, scale: float = 1.0):
     pts = X[converged]
     if pts.size == 0:
         return []
-    final_res = np.abs(system.eval(pts)).max(axis=1)
-    keep = final_res < config.tol
-    pts = pts[keep]
+    pts = pts[np.abs(system.values_and_jacobian(pts)[0]).max(axis=1) < config.tol]
     if pts.size == 0:
         return []
-    clusters = _cluster([tuple(p) for p in pts], CLUSTER_RADIUS)
-    roots = []
-    for cl in clusters:
-        rep = tuple(np.mean(np.array(cl, dtype=complex), axis=0))
-        J = system.jacobian(np.array([rep], dtype=complex))[0]
-        s = np.linalg.svd(J, compute_uv=False)
-        singular = s[0] == 0.0 or s[-1] <= JACOBIAN_SINGULAR_RTOL * s[0]
-        roots.append(NewtonRoot(rep, bool(singular), len(cl)))
+    clusters = _cluster(pts, CLUSTER_RADIUS)
+    reps = np.array([pts[cl].mean(axis=0) for cl in clusters])
+    s = np.linalg.svd(system.values_and_jacobian(reps)[1], compute_uv=False)
+    singular = (s[:, 0] == 0.0) | (s[:, -1] <= JACOBIAN_SINGULAR_RTOL * s[:, 0])
+    roots = [
+        NewtonRoot(tuple(rep), bool(flag), len(cl))
+        for rep, flag, cl in zip(reps, singular, clusters)
+    ]
     roots.sort(key=lambda r: tuple((z.real, z.imag) for z in r.point))
     return roots
 
 
 def _solve_steps(J, F):
+    """Newton steps J^-1 F for a batch; exactly singular Jacobians get the
+    minimum-norm least-squares step instead."""
     try:
         return np.linalg.solve(J, F[..., None])[..., 0]
     except np.linalg.LinAlgError:
+        singular = np.linalg.det(J) == 0
         out = np.empty_like(F)
-        for i in range(J.shape[0]):
-            try:
-                out[i] = np.linalg.solve(J[i], F[i])
-            except np.linalg.LinAlgError:
-                out[i] = np.linalg.lstsq(J[i], F[i], rcond=None)[0]
+        out[~singular] = np.linalg.solve(J[~singular], F[~singular][..., None])[..., 0]
+        rcond = max(J.shape[1:]) * np.finfo(float).eps
+        pinv = np.linalg.pinv(J[singular], rcond=rcond)
+        out[singular] = (pinv @ F[singular][..., None])[..., 0]
         return out
 
 
-def _deflate_polish(eqs_system: _CompiledSystem, detj_system: _CompiledSystem,
-                    point, iters: int = 30):
-    """Gauss-Newton on the system augmented with det(Jacobian); regular at a
-    simple fold, so multiple roots sharpen to near machine precision."""
+def _deflate_polish(system: _CompiledSystem, point, iters: int = 30):
+    """Gauss-Newton on a square system augmented with det(Jacobian), compiled
+    together as ``system``; regular at a simple fold, so multiple roots
+    sharpen to near machine precision."""
     x = np.array(point, dtype=complex)
     for _ in range(iters):
-        X = x[None, :]
-        F = np.concatenate([eqs_system.eval(X)[0], detj_system.eval(X)[0]])
-        J = np.vstack([eqs_system.jacobian(X)[0], detj_system.jacobian(X)[0]])
-        step, *_ = np.linalg.lstsq(J, F, rcond=None)
+        F, J = system.values_and_jacobian(x[None, :])
+        step, *_ = np.linalg.lstsq(J[0], F[0], rcond=None)
         x = x - step
         if np.abs(step).max() < 1e-14 * max(1.0, np.abs(x).max()):
             break
@@ -275,20 +286,34 @@ def _bordered_minors(Mpoly: PolyMatrix, m: int, n: int):
     ]
 
 
+def _deflated_system(eqs, lvars):
+    """The square system ``eqs`` with det of its Jacobian appended."""
+    detj = sym_det(PolyMatrix([[p.derivative(v) for v in lvars] for p in eqs]))
+    return _CompiledSystem(list(eqs) + [detj], lvars)
+
+
 def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None):
     """All eigenvalues of the pencil, with kernel vectors and multiplicities.
 
-    The total multiplicity must reach binom(n, m-1); the solver retries with
-    four times the starts and then with a random unitary column mixing before
-    giving up with a diagnostic error.
+    A root that Newton did not flag, that no other root merged into, and at
+    which the Jacobian of all maximal minors keeps full column rank (smallest
+    singular value above ``CERTIFY_RTOL`` times the scale of that Jacobian)
+    is simple: its multiplicity is 1.  Every other root gets its multiplicity
+    from :func:`local_multiplicity`.  The total multiplicity must reach
+    binom(n, m-1); the solver retries with four times the starts and then
+    with a random unitary column mixing before giving up with a diagnostic
+    error.
     """
     config = config or SolverConfig()
     m, n, k = spec.m, spec.n, spec.k
     expected = spec.expected_count()
     lvars = tuple(f"l{i + 1}" for i in range(k))
     Mpoly = pencil_matrix_poly(spec.base, spec.basis, lvars)
+    minors = maximal_minors(Mpoly)
+    minors_system = _CompiledSystem(minors, lvars)
     base_np = spec.base.to_numpy()
     basis_np = [L.to_numpy() for L in spec.basis]
+    basis_scale = max(1.0, max(np.linalg.norm(L) for L in basis_np))
     data_scale = 1.0 + spec.base.frobenius()
     nstarts = config.starts if config.starts is not None else 40 * expected
 
@@ -302,34 +327,40 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
     ]
     last = []
     for starts, mix, seed in attempts:
-        eqs = _attempt_equations(Mpoly, m, n, mix, seed)
+        # the bordered minors (columns 1..m-1 plus one) lead the lexicographic order
+        eqs = _mixed_bordered_minors(Mpoly, m, n, seed) if mix else minors[:k]
         roots = newton_system(eqs, replace(config, starts=starts, seed=seed), scale=data_scale)
-        eqs_system = _CompiledSystem(eqs, lvars)
-        detj = sym_det(
-            PolyMatrix([[p.derivative(v) for v in lvars] for p in eqs])
-        )
-        detj_system = _CompiledSystem([detj], lvars)
+        deflated = None
         candidates = []
         for root in roots:
             point = root.point
             if root.possibly_multiple:
-                polished = _deflate_polish(eqs_system, detj_system, point)
-                if residual(polished) <= residual(point):
+                deflated = deflated or _deflated_system(eqs, lvars)
+                polished = _deflate_polish(deflated, point)
+                if residual(polished) <= config.tol:
                     point = polished
             if residual(point) <= config.tol:
-                candidates.append((point, root))
-        merged = _cluster([p for p, _ in candidates], CLUSTER_RADIUS)
-        flags_by_point = {p: r for p, r in candidates}
+                candidates.append((point, root.possibly_multiple))
+        if not candidates:
+            last = []
+            continue
+        points = np.array([p for p, _ in candidates], dtype=complex)
+        merged = _cluster(points, CLUSTER_RADIUS)
+        reps = np.array([points[cl].mean(axis=0) for cl in merged])
+        members = np.array([member_array(base_np, basis_np, rep) for rep in reps])
+        sigma = np.linalg.svd(
+            minors_system.values_and_jacobian(reps)[1], compute_uv=False
+        )[:, -1]
+        jac_scale = np.maximum(1.0, np.linalg.norm(members, axis=(1, 2))) ** (m - 1)
+        simple = sigma >= CERTIFY_RTOL * jac_scale * basis_scale
         eigenvalues = []
         total = 0
-        for cl in merged:
-            rep = cl[0] if len(cl) == 1 else tuple(
-                np.mean(np.array(cl, dtype=complex), axis=0)
-            )
-            root = flags_by_point[cl[0]]
-            multiple_hint = root.possibly_multiple or root.cluster_size > 1 or len(cl) > 1
-            mult = local_multiplicity(spec, rep) if multiple_hint else 1
-            member = member_array(base_np, basis_np, rep)
+        for cl, rep, member, certified in zip(merged, reps, members, simple):
+            flagged = candidates[cl[0]][1]
+            if certified and not flagged and len(cl) == 1:
+                mult = 1
+            else:
+                mult = local_multiplicity(spec, tuple(rep))
             eigenvalues.append(
                 Eigenvalue(
                     lambdas=tuple(complex(z) for z in rep),
@@ -354,9 +385,8 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
     )
 
 
-def _attempt_equations(Mpoly: PolyMatrix, m: int, n: int, mix: bool, seed: int):
-    if not mix:
-        return _bordered_minors(Mpoly, m, n)
+def _mixed_bordered_minors(Mpoly: PolyMatrix, m: int, n: int, seed: int):
+    """Bordered minors after a seeded random unitary mixing of the columns."""
     rng = np.random.default_rng(seed + 1000)
     q, _ = np.linalg.qr(
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -178,3 +178,19 @@ def test_heine_matches_locus(m, n):
     spec = PencilSpec(A, standard_diagonal_basis(m, n))
     ls = lambda_multiset(solve_eigenvalue_locus(spec, SolverConfig(seed=12)))
     assert multisets_close(hs, ls, tol=1e-7)
+
+
+# A triple eigenvalue traps branch 1 as it traps the general solver (see
+# test_triple_eigenvalue_2x4 in tests/test_locus.py); same draws, with the
+# solver seeds of their heine_solve operations.
+@pytest.mark.xfail(strict=True, raises=NumericFailure, reason="triple eigenvalue")
+@pytest.mark.parametrize(
+    "entries,seed",
+    [
+        ([[-5, 6, 0, -1], [0, -6, 9, -3]], 686934272),
+        ([[-2, -4, -2, 0], [0, -8, -4, -2]], 1804350436),
+    ],
+)
+def test_heine_triple_eigenvalue_2x4(entries, seed):
+    eigs = heine_solve(RectMatrix(entries), SolverConfig(seed=seed))
+    assert sorted(e.multiplicity for e in eigs) == [1, 3]

@@ -18,14 +18,17 @@ from rectpencil import (
     solve_eigenvalue_locus,
     standard_diagonal_basis,
 )
+from rectpencil import locus
 from rectpencil.heine import build_branch_systems
-from rectpencil.locus import system_local_multiplicity
+from rectpencil.locus import _cluster, _CompiledSystem, _solve_steps, system_local_multiplicity
 
 from helpers import (
     lambda_multiset,
     make_gen,
     multisets_close,
     rand_admissible_upper,
+    rand_fraction,
+    rand_poly,
     rand_rational_matrix,
 )
 
@@ -220,3 +223,155 @@ def test_eigenvalue_serialization():
     assert set(d) == {"lambda", "kappa", "residual", "multiplicity", "flags"}
     assert d["multiplicity"] == 3
     assert len(d["lambda"]) == 2 and len(d["lambda"][0]) == 2
+
+
+# -- compiled kernel -----------------------------------------------------------
+
+
+def test_values_and_jacobian_match_polynomial_eval():
+    gen = make_gen(101)
+    variables = ("x", "y", "z")
+    polys = [
+        rand_poly(gen, variables, max_degree=4, terms=6),
+        MultiPoly.zero(variables),
+        MultiPoly.constant(variables, Fraction(-3, 7)),
+        rand_poly(gen, variables, max_degree=1, terms=3),
+        rand_poly(gen, variables, max_degree=6, terms=8),
+    ]
+    system = _CompiledSystem(polys)
+    X = gen.standard_normal((5, 3)) + 1j * gen.standard_normal((5, 3))
+    F, J = system.values_and_jacobian(X)
+    assert F.shape == (5, 5) and J.shape == (5, 5, 3)
+    for s, x in enumerate(X):
+        point = dict(zip(variables, (complex(z) for z in x)))
+        for i, p in enumerate(polys):
+            assert abs(F[s, i] - complex(p.eval(point))) <= 1e-12 * (1 + abs(F[s, i]))
+            for j, v in enumerate(variables):
+                want = complex(p.derivative(v).eval(point))
+                assert abs(J[s, i, j] - want) <= 1e-12 * (1 + abs(want))
+
+
+def _greedy_cluster_reference(points, radius):
+    """The per-point greedy loop that _cluster must reproduce."""
+    order = sorted(points, key=lambda p: tuple((z.real, z.imag) for z in p))
+    clusters = []
+    for p in order:
+        for cl in clusters:
+            if max(abs(a - b) for a, b in zip(p, cl[0])) <= radius:
+                cl.append(p)
+                break
+        else:
+            clusters.append([p])
+    return clusters
+
+
+def test_cluster_matches_greedy_reference():
+    gen = make_gen(103)
+    centres = gen.standard_normal((6, 2)) + 1j * gen.standard_normal((6, 2))
+    noisy = centres[gen.integers(0, 6, 60)] + 0.3 * gen.standard_normal((60, 2))
+    # chains at exactly the radius: a-b and b-c are at 0.5, a-c is at 1.0
+    chain = np.array([[0, 0], [0.5, 0], [1.0, 0], [0.5j, 0.5j], [0, 0.5 + 0.5j]])
+    for points, radius in ((noisy, 0.4), (noisy, 1.5), (chain, 0.5), (chain, 0.25)):
+        points = np.asarray(points, dtype=complex)
+        got = [[tuple(points[i]) for i in cl] for cl in _cluster(points, radius)]
+        assert got == _greedy_cluster_reference([tuple(p) for p in points], radius)
+
+
+def test_singular_jacobian_steps_match_pointwise_solve():
+    gen = make_gen(107)
+    J = gen.standard_normal((6, 2, 2)) + 1j * gen.standard_normal((6, 2, 2))
+    J[1] = [[1, 2], [2, 4]]
+    J[4] = [[0, 0], [3j, 1]]
+    F = gen.standard_normal((6, 2)) + 1j * gen.standard_normal((6, 2))
+    assert (np.linalg.det(J) == 0).sum() == 2
+    steps = _solve_steps(J, F)
+    for i in range(6):
+        try:
+            want = np.linalg.solve(J[i], F[i])
+        except np.linalg.LinAlgError:
+            want = np.linalg.lstsq(J[i], F[i], rcond=None)[0]
+        assert np.allclose(steps[i], want, rtol=1e-12, atol=1e-12)
+
+
+def _count_multiplicity_calls(monkeypatch):
+    calls = []
+    original = locus.local_multiplicity
+
+    def counted(spec, at, degree_cap=8):
+        calls.append(at)
+        return original(spec, at, degree_cap)
+
+    monkeypatch.setattr(locus, "local_multiplicity", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m,n,seed", [(2, 4, 109), (3, 5, 113)])
+def test_generic_roots_certified_without_macaulay(monkeypatch, m, n, seed):
+    calls = _count_multiplicity_calls(monkeypatch)
+    spec = PencilSpec(rand_rational_matrix(make_gen(seed), m, n), standard_diagonal_basis(m, n))
+    eigs = solve_eigenvalue_locus(spec, SolverConfig(seed=seed))
+    assert [e.multiplicity for e in eigs] == [1] * math.comb(n, m - 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 5)])
+def test_zero_pencil_keeps_macaulay_path(monkeypatch, m, n):
+    calls = _count_multiplicity_calls(monkeypatch)
+    spec = PencilSpec(RectMatrix.zeros(m, n), standard_diagonal_basis(m, n))
+    (e,) = solve_eigenvalue_locus(spec, SolverConfig(seed=3))
+    assert e.multiplicity == math.comb(n, m - 1)
+    assert e.flags == ("possibly-multiple", "numerical")
+    assert len(calls) >= 1
+
+
+# -- multiple eigenvalues --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "entries,seed",
+    [
+        ([[-6, 6, 4, 0], [0, -7, -5, 4]], 2058650476),
+        ([[1, 7, 1, 0], [0, 0, -4, 1]], 1523959597),
+    ],
+)
+def test_double_eigenvalue_triangular_2x4(entries, seed):
+    spec = PencilSpec(RectMatrix(entries), standard_diagonal_basis(2, 4))
+    eigs = solve_eigenvalue_locus(spec, SolverConfig(seed=seed))
+    assert sorted(e.multiplicity for e in eigs) == [1, 1, 2]
+    assert all(e.residual <= 1e-8 for e in eigs)
+
+
+def test_double_eigenvalue_2x3_sweep():
+    # a21 = 0 and a11 = a22 give p_A(r) = r^2 (a23 - a12 - a13 r): a double
+    # eigenvalue at kappa = (0, 1) and a simple one, when a13 != 0 != a23 - a12
+    gen = make_gen(2024)
+    solved = 0
+    for draw in range(45):
+        e = [[rand_fraction(gen) for _ in range(3)] for _ in range(2)]
+        e[1][0], e[1][1] = Fraction(0), e[0][0]
+        if e[0][2] == 0 or e[1][2] == e[0][1]:
+            continue
+        spec = PencilSpec(RectMatrix(e), standard_diagonal_basis(2, 3))
+        eigs = solve_eigenvalue_locus(spec, SolverConfig(seed=draw))
+        assert sorted(x.multiplicity for x in eigs) == [1, 2], (draw, e)
+        solved += 1
+    assert solved >= 40
+
+
+# A triple eigenvalue (p_A with a cubed factor) traps the solver: no Newton
+# endpoint near the triple point passes the full-minor residual filter, so
+# only the simple eigenvalue is found.  The draws come from the
+# triangular-heine benchmark workload at (workload seed, round) = (5, 442) and
+# (6, 321); tests/test_heine.py holds the same trap for heine_solve.
+@pytest.mark.xfail(strict=True, raises=NumericFailure, reason="triple eigenvalue")
+@pytest.mark.parametrize(
+    "entries,seed",
+    [
+        ([[-5, 6, 0, -1], [0, -6, 9, -3]], 1172400668),
+        ([[-2, -4, -2, 0], [0, -8, -4, -2]], 1932798683),
+    ],
+)
+def test_triple_eigenvalue_2x4(entries, seed):
+    spec = PencilSpec(RectMatrix(entries), standard_diagonal_basis(2, 4))
+    eigs = solve_eigenvalue_locus(spec, SolverConfig(seed=seed))
+    assert sorted(e.multiplicity for e in eigs) == [1, 3]
