@@ -8,7 +8,8 @@ Library layout:
   subspace, coranks, maximal minors, the chart map, transversality.
 - :mod:`rectpencil.critical` — critical-set polynomials (direct determinant
   and the column-subset expansion) and the banded minor basis.
-- :mod:`rectpencil.heine` — branch systems for upper-triangular pencils.
+- :mod:`rectpencil.heine` — Heine branches of upper-triangular pencils,
+  each solved as the locus of a trailing block, and their branch systems.
 - :mod:`rectpencil.locus` — numeric locus solver and local multiplicities.
 - :mod:`rectpencil.disc23` — the 2x3 multiple-eigenvalue discriminant.
 - :mod:`rectpencil.cli` — the ``rectpencil`` command.

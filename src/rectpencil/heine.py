@@ -1,33 +1,39 @@
 """Branch decomposition of the eigenvalue locus for upper-triangular pencils.
 
 For an upper-triangular base matrix with distinct first-diagonal entries and
-the standard diagonal shift subspace, the locus splits into one complete
-intersection per matrix row: branch i fixes the first parameter to the negated
-diagonal entry, eliminates the kernel coordinates by a triangular recurrence,
-and leaves n-m polynomial equations in the remaining parameters.  Branch i
+the standard diagonal shift subspace, the locus splits into one branch per
+matrix row: on branch i the first parameter is the negated diagonal entry
+-a_ii, the left kernel vector vanishes on rows 1..i-1, and the remaining
+parameters are the eigenvalues of the (m-i+1) x (n-i) trailing block
+A[i-1:, i:] with -a_ii on its sub-diagonal, a smaller instance of the same
+problem that :func:`heine_solve` hands to the general locus solver.  Branch i
 carries binom(n-i, m-i) solutions, and the branch counts add up to the
-classical Heine count binom(n, m-1).
+classical Heine count binom(n, m-1).  :func:`build_branch_systems` writes
+each branch out as a complete intersection in the remaining parameters, the
+kernel coordinates eliminated by a triangular recurrence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NumericFailure, UsageError
 from .locus import (
     Eigenvalue,
     SolverConfig,
     _is_exact_scalar,
-    newton_system,
-    system_local_multiplicity,
+    newton_system,  # noqa: F401  bench/test_bench.py reads heine.newton_system
+    solve_eigenvalue_locus,
 )
 from .pencil import (
+    PencilSpec,
     RectMatrix,
     member_array,
     minor_residual,
     normalize_at_largest,
-    solve_exact,
     standard_diagonal_basis,
 )
 from .polycore import MultiPoly
@@ -143,31 +149,21 @@ def build_branch_systems(A: RectMatrix):
     return systems
 
 
-def _is_linear(poly: MultiPoly) -> bool:
-    return all(sum(e) <= 1 for e in poly.terms)
-
-
-def _augmented_rows(equations, nvars: int):
-    """Rows [A | b] of a linear system written as A x = b."""
-    rows = []
-    for eq in equations:
-        row = [eq.domain.zero()] * (nvars + 1)
-        for exp, c in eq.terms.items():
-            if any(exp):
-                row[exp.index(1)] = c
-            else:
-                row[nvars] = -c
-        rows.append(row)
-    return rows
-
-
 def heine_solve(A: RectMatrix, config: SolverConfig | None = None):
-    """Solve every branch system and reassemble full eigenvalues.
+    """All eigenvalues, branch by branch, as eigenvalues of trailing blocks.
 
-    Linear branches of exact matrices are solved exactly; the rest go through
-    the seeded Newton solver.  Each branch must reach its count binom(n-i,
-    m-i) with multiplicity, and every returned point is validated against all
-    maximal minors of the assembled pencil member.
+    Branch i is the pencil of the (m-i+1) x (n-i) block A[i-1:, i:] with
+    lambda_1 = -a_ii added on its sub-diagonal and the standard diagonal
+    subspace.  Those sub-diagonal entries a_jj - a_ii are nonzero, so every
+    eigenvalue of the block has a kernel vector with nonzero first entry, and
+    the block count binom(n-i, m-i) is the branch count.  A one-row block, and
+    the empty tail of a square matrix, is solved in closed form (exactly for
+    exact matrices); every other block goes through
+    :func:`solve_eigenvalue_locus` with ``config``, which also gives the
+    multiplicities.  Kernel vectors and residuals are those of the full
+    member.  The output is ordered by branch, then by lambda.  A branch whose
+    solve fails raises NumericFailure with the branch's own diagnostics in
+    ``details["branches"]``.
     """
     if not check_heine_admissible(A):
         raise UsageError("matrix is not upper-triangular with distinct diagonal")
@@ -175,101 +171,53 @@ def heine_solve(A: RectMatrix, config: SolverConfig | None = None):
     m, n = A.rows, A.cols
     base_np = A.to_numpy()
     basis_np = [L.to_numpy() for L in standard_diagonal_basis(m, n, A.domain)]
-    systems = build_branch_systems(A)
-    _, per_branch = heine_count(m, n)
-    scale = 1.0 + A.frobenius()
     out = []
-    shortfalls = {}
-    for bs, expected in zip(systems, per_branch):
-        found = _solve_branch(bs, expected, config, scale)
-        if sum(mult for _, mult in found) != expected:
-            shortfalls[bs.branch_index] = {
-                "expected": expected,
-                "found": sum(mult for _, mult in found),
-            }
+    failures = {}
+    for i in range(1, m + 1):
+        lambda1 = -A.entries[i - 1][i - 1]
+        try:
+            tails = _branch_tails(A, i, lambda1, config)
+        except NumericFailure as exc:
+            failures[i] = exc
             continue
-        for tail, mult in found:
-            eig = _assemble_eigenvalue(A, base_np, basis_np, bs, tail, mult, config.tol)
-            out.append((bs.branch_index, eig))
-    if shortfalls:
+        # the block solver returns its eigenvalues sorted by lambda
+        for tail, mult, flags in tails:
+            lambdas = (lambda1,) + tuple(tail)
+            numeric = tuple(complex(z) for z in lambdas)
+            member = member_array(base_np, basis_np, numeric)
+            out.append(
+                Eigenvalue(
+                    lambdas=numeric,
+                    kappa=normalize_at_largest(np.linalg.svd(member)[0][:, -1].conj()),
+                    residual=minor_residual(member),
+                    multiplicity=mult,
+                    flags=flags,
+                    exact_lambdas=lambdas if all(map(_is_exact_scalar, lambdas)) else None,
+                )
+            )
+    if failures:
         raise NumericFailure(
-            f"branch solution counts incomplete: {shortfalls}",
-            details={"branches": shortfalls},
+            "; ".join(f"branch {i}: {exc}" for i, exc in failures.items()),
+            details={"branches": {i: exc.details for i, exc in failures.items()}},
         )
-    out.sort(
-        key=lambda pair: (
-            pair[0],
-            tuple((z.real, z.imag) for z in pair[1].lambdas),
-        )
+    return out
+
+
+def _branch_tails(A: RectMatrix, i: int, lambda1, config: SolverConfig):
+    """(lambda_2..lambda_k, multiplicity, flags) of every branch-i eigenvalue."""
+    m, n = A.rows, A.cols
+    if n == m:
+        return [((), 1, ())]
+    block = [list(row[i:]) for row in A.entries[i - 1 :]]
+    if len(block) == 1:
+        return [(tuple(-v for v in block[0]), 1, ())]
+    for r in range(1, len(block)):
+        block[r][r - 1] += lambda1
+    spec = PencilSpec(
+        RectMatrix(block, A.domain),
+        standard_diagonal_basis(len(block), n - i, A.domain),
     )
-    return [eig for _, eig in out]
-
-
-def _solve_branch(bs: BranchSystem, expected: int, config: SolverConfig,
-                  scale: float):
-    """Roots of one branch system with multiplicities: list of (tail, mult)."""
-    if not bs.equations:
-        return [((), 1)]
-    exact_linear = (
-        expected == 1
-        and all(_is_linear(eq) for eq in bs.equations)
-        and bs.equations[0].domain.is_exact
-    )
-    if exact_linear:
-        sol = solve_exact(_augmented_rows(bs.equations, len(bs.variables)))
-        if sol is not None:
-            return [(sol, 1)]
-    for factor, seed_shift in ((1, 0), (4, 1)):
-        cfg = replace(
-            config,
-            starts=(config.starts or 40 * expected) * factor,
-            seed=config.seed + seed_shift,
-        )
-        roots = newton_system(list(bs.equations), cfg, scale=scale)
-        found = []
-        total = 0
-        for root in roots:
-            if root.possibly_multiple or root.cluster_size > 1:
-                mult = system_local_multiplicity(list(bs.equations), root.point)
-                if mult is None:
-                    mult = root.cluster_size
-            else:
-                mult = 1
-            found.append((root.point, mult))
-            total += mult
-        if total == expected:
-            return found
-    return found
-
-
-def _assemble_eigenvalue(A, base_np, basis_np, bs: BranchSystem, tail, mult, tol):
-    exact = A.domain.is_exact and all(_is_exact_scalar(v) for v in tail)
-    if exact:
-        exact_lambdas = (bs.lambda1,) + tuple(tail)
-        lambdas = tuple(complex(v) for v in exact_lambdas)
-    else:
-        exact_lambdas = None
-        lambdas = (complex(bs.lambda1),) + tuple(complex(v) for v in tail)
-    point = dict(zip(bs.variables, tail))
-    kappa_tail = [
-        complex(num.eval(point)) / complex(den)
-        for num, den in zip(bs.kernel_numerators, bs.kernel_denominators)
+    return [
+        (e.lambdas, e.multiplicity, e.flags)
+        for e in solve_eigenvalue_locus(spec, config)
     ]
-    kappa = normalize_at_largest([0j] * (bs.branch_index - 1) + kappa_tail)
-    residual = minor_residual(member_array(base_np, basis_np, lambdas))
-    if residual > 10 * tol:
-        raise NumericFailure(
-            f"branch {bs.branch_index} produced a point with residual {residual:.3e}",
-            details={"branch": bs.branch_index, "residual": residual},
-        )
-    flags = ()
-    if mult is not None and mult > 1:
-        flags = ("possibly-multiple",)
-    return Eigenvalue(
-        lambdas=lambdas,
-        kappa=kappa,
-        residual=residual,
-        multiplicity=mult,
-        flags=flags,
-        exact_lambdas=exact_lambdas,
-    )

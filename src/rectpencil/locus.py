@@ -70,7 +70,6 @@ class SolverConfig:
 class NewtonRoot:
     point: tuple
     possibly_multiple: bool
-    cluster_size: int = 1
 
 
 @dataclass(frozen=True)
@@ -241,11 +240,10 @@ def newton_system(equations, config: SolverConfig, scale: float = 1.0):
     clusters = _cluster(pts, CLUSTER_RADIUS)
     reps = np.array([pts[cl].mean(axis=0) for cl in clusters])
     s = np.linalg.svd(system.values_and_jacobian(reps)[1], compute_uv=False)
-    singular = (s[:, 0] == 0.0) | (s[:, -1] <= JACOBIAN_SINGULAR_RTOL * s[:, 0])
-    roots = [
-        NewtonRoot(tuple(rep), bool(flag), len(cl))
-        for rep, flag, cl in zip(reps, singular, clusters)
-    ]
+    # an absolute floor, as in macaulay_multiplicity: a 1x1 Jacobian has
+    # sigma_min == sigma_max, so a purely relative test never fires there
+    singular = s[:, -1] <= JACOBIAN_SINGULAR_RTOL * np.maximum(s[:, 0], 1.0)
+    roots = [NewtonRoot(tuple(rep), bool(flag)) for rep, flag in zip(reps, singular)]
     roots.sort(key=lambda r: tuple((z.real, z.imag) for z in r.point))
     return roots
 

@@ -190,23 +190,6 @@ def row_echelon(rows):
     return rank, product, rows
 
 
-def solve_exact(rows):
-    """Unique solution of the square system with augmented rows ``[A | b]``
-    over an exact field, or None when A is singular.  Reduces ``rows`` in
-    place."""
-    nv = len(rows)
-    row_echelon(rows)
-    if any(rows[r][r] == 0 for r in range(nv)):
-        return None
-    x = [None] * nv
-    for r in reversed(range(nv)):
-        acc = rows[r][nv]
-        for j in range(r + 1, nv):
-            acc = acc - rows[r][j] * x[j]
-        x[r] = acc / rows[r][r]
-    return tuple(x)
-
-
 # -- numeric pencil members ------------------------------------------------------
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from rectpencil import (
     MultiPoly,
-    NumericFailure,
     PencilSpec,
     RectMatrix,
     SolverConfig,
@@ -180,10 +179,69 @@ def test_heine_matches_locus(m, n):
     assert multisets_close(hs, ls, tol=1e-7)
 
 
-# A triple eigenvalue traps branch 1 as it traps the general solver (see
-# test_triple_eigenvalue_2x4 in tests/test_locus.py); same draws, with the
-# solver seeds of their heine_solve operations.
-@pytest.mark.xfail(strict=True, raises=NumericFailure, reason="triple eigenvalue")
+def branch_of(A, e):
+    """Zero-based branch of an eigenvalue: the row i with lambda_1 = -a_ii."""
+    (i,) = [j for j in range(A.rows) if e.lambdas[0] == complex(-A.entries[j][j])]
+    return i
+
+
+def branch_counts(A, eigs):
+    counts = [0] * A.rows
+    for e in eigs:
+        counts[branch_of(A, e)] += e.multiplicity
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_heine_3x5_branch_with_triple_root(seed):
+    # branch 2 is one triple root
+    A = RectMatrix([[8, -6, 8, 4, 6], [0, 0, 8, -3, 0], [0, 0, 9, 8, -3]])
+    eigs = heine_solve(A, SolverConfig(seed=seed))
+    assert sum(e.multiplicity for e in eigs) == 10
+    assert branch_counts(A, eigs) == [6, 3, 1]
+
+
+def test_heine_4x7_full_branch_counts():
+    # branch 1 alone carries C(6, 3) = 20 roots
+    A = rand_admissible_upper(make_gen(0), 4, 7)
+    eigs = heine_solve(A, SolverConfig(seed=0))
+    assert sum(e.multiplicity for e in eigs) == 35
+    assert branch_counts(A, eigs) == [20, 10, 4, 1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_heine_3x4_double_root_in_square_block(seed):
+    # branch 2 is the square 2x2 block pencil, with a double eigenvalue
+    A = RectMatrix([[-5, 9, 1, 7], [0, 1, -8, 0], [0, 0, 9, -8]])
+    eigs = heine_solve(A, SolverConfig(seed=seed))
+    assert branch_counts(A, eigs) == [3, 2, 1]
+    assert sorted(e.multiplicity for e in eigs) == [1, 1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 5), (2, 6)])
+def test_heine_solve_agrees_with_branch_systems(m, n):
+    # every branch-i eigenvalue solves the branch-i system, and its kernel
+    # vector vanishes on the rows above row i
+    gen = make_gen(7000 + 10 * m + n)
+    for trial in range(3):
+        A = rand_admissible_upper(gen, m, n)
+        systems = build_branch_systems(A)
+        eigs = heine_solve(A, SolverConfig(seed=trial))
+        assert branch_counts(A, eigs) == heine_count(m, n)[1]
+        for e in eigs:
+            i = branch_of(A, e)
+            bs = systems[i]
+            point = dict(zip(bs.variables, e.lambdas[1:]))
+            for eq in bs.equations:
+                assert abs(complex(eq.eval(point))) < 1e-9, (trial, i)
+            assert all(abs(z) < 1e-9 for z in e.kappa[:i]), (trial, i)
+
+
+# A triple eigenvalue, which still traps the general 2x4 solve (see
+# test_triple_eigenvalue_2x4 in tests/test_locus.py), is all of branch 1 here:
+# the 2x3 trailing block's three eigenvalues coincide, and the block solve
+# finds them; same draws, with the solver seeds of their heine_solve
+# operations.
 @pytest.mark.parametrize(
     "entries,seed",
     [

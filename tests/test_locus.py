@@ -341,6 +341,23 @@ def test_double_eigenvalue_triangular_2x4(entries, seed):
     assert all(e.residual <= 1e-8 for e in eigs)
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize(
+    "entries,multiplicities",
+    [
+        ([[-8, 0], [8, -8]], [2]),
+        ([[-8, 0, 0], [8, -8, 0], [1, 2, 5]], [1, 2]),
+    ],
+)
+def test_double_eigenvalue_square(entries, multiplicities, seed):
+    # k = 1: the Newton Jacobian is 1x1, so only an absolute floor on its
+    # singular value flags the double root for deflation before Macaulay
+    m = len(entries)
+    spec = PencilSpec(RectMatrix(entries), standard_diagonal_basis(m, m))
+    eigs = solve_eigenvalue_locus(spec, SolverConfig(seed=seed))
+    assert sorted(e.multiplicity for e in eigs) == multiplicities
+
+
 def test_double_eigenvalue_2x3_sweep():
     # a21 = 0 and a11 = a22 give p_A(r) = r^2 (a23 - a12 - a13 r): a double
     # eigenvalue at kappa = (0, 1) and a simple one, when a13 != 0 != a23 - a12
@@ -362,7 +379,8 @@ def test_double_eigenvalue_2x3_sweep():
 # endpoint near the triple point passes the full-minor residual filter, so
 # only the simple eigenvalue is found.  The draws come from the
 # triangular-heine benchmark workload at (workload seed, round) = (5, 442) and
-# (6, 321); tests/test_heine.py holds the same trap for heine_solve.
+# (6, 321).  heine_solve gets past it (tests/test_heine.py): there the triple
+# point is the whole of branch 1, a 2x3 block pencil.
 @pytest.mark.xfail(strict=True, raises=NumericFailure, reason="triple eigenvalue")
 @pytest.mark.parametrize(
     "entries,seed",
