@@ -1,13 +1,19 @@
 """Numeric eigenvalue locus computation and local multiplicities.
 
-The solver runs seeded multi-start Newton iteration on a square subsystem of
-maximal minors (columns {1..m-1} plus one varying column), filters candidates
-by the residual over all maximal minors, clusters coincident roots and
-recovers the left kernel vector from the singular value decomposition.  A
-root is certified simple, multiplicity 1, when the Jacobian of all maximal
-minors has full column rank there (one batched SVD over all roots); every other
-root gets its multiplicity from the dimension of the local algebra
-(stabilized corank of truncated Macaulay matrices of the minor ideal).
+The solver runs seeded multi-start Newton iteration on a ladder of square
+systems: the bordered maximal minors (columns {1..m-1} plus one varying
+column); the bilinear kernel system kappa^T (A + sum l_i B_i) = 0 with a random
+chart on kappa, which has no spurious components where the bordered minors
+share a factor (the hyperplane lambda_1 = -a_11 of every upper-triangular
+pencil); the bordered minors again with four times the starts; and the
+bordered minors after a random unitary column mixing.  Each attempt keeps the
+endpoints whose residual over all maximal minors passes, polishes the flagged
+ones, clusters coincident roots and recovers the left kernel vector from the
+singular value decomposition.  A root is certified simple, multiplicity 1,
+when the Jacobian of all maximal minors has full column rank there (one batched
+SVD over all roots); every other root gets its multiplicity from the dimension
+of the local algebra (stabilized corank of truncated Macaulay matrices of the
+minor ideal).
 """
 
 from __future__ import annotations
@@ -284,10 +290,36 @@ def _bordered_minors(Mpoly: PolyMatrix, m: int, n: int):
     ]
 
 
-def _deflated_system(eqs, lvars):
+def _deflated_system(eqs, variables):
     """The square system ``eqs`` with det of its Jacobian appended."""
-    detj = sym_det(PolyMatrix([[p.derivative(v) for v in lvars] for p in eqs]))
-    return _CompiledSystem(list(eqs) + [detj], lvars)
+    detj = sym_det(PolyMatrix([[p.derivative(v) for v in variables] for p in eqs]))
+    return _CompiledSystem(list(eqs) + [detj], variables)
+
+
+def _kernel_system(spec: PencilSpec, kvars, lvars, seed: int):
+    """The bilinear kernel system in (k1..km, l1..lk): the n entries of
+    kappa^T (A + sum l_i B_i) and a seeded random chart c . kappa - 1.
+
+    Its solutions are exactly the eigenvalues with their chart-normalized left
+    kernel vectors, with no spurious components."""
+    m, n = spec.m, spec.n
+    variables = tuple(kvars) + tuple(lvars)
+    unit = np.eye(len(variables), dtype=int)
+    eqs = []
+    for c in range(n):
+        terms = {}
+        for r in range(m):
+            terms[tuple(unit[r])] = spec.base.entries[r][c]
+            for i, L in enumerate(spec.basis):
+                terms[tuple(unit[r] + unit[m + i])] = L.entries[r][c]
+        eqs.append(MultiPoly(variables, terms, COMPLEX))
+    rng = np.random.default_rng(seed + 2000)
+    chart = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    chart /= np.linalg.norm(chart)
+    terms = {tuple(unit[r]): complex(chart[r]) for r in range(m)}
+    terms[(0,) * len(variables)] = -1
+    eqs.append(MultiPoly(variables, terms, COMPLEX))
+    return eqs
 
 
 def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None):
@@ -298,15 +330,22 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
     singular value above ``CERTIFY_RTOL`` times the scale of that Jacobian)
     is simple: its multiplicity is 1.  Every other root gets its multiplicity
     from :func:`local_multiplicity`.  The total multiplicity must reach
-    binom(n, m-1); the solver retries with four times the starts and then
-    with a random unitary column mixing before giving up with a diagnostic
-    error.
+    binom(n, m-1).  The attempts run in order until one does: the bordered
+    minors, the kernel system (:func:`_kernel_system`), the bordered minors
+    with four times the starts, and a random unitary column mixing with four
+    times the starts; then the solver gives up with a diagnostic error.
+    Endpoints whose full-minor residual exceeds the tolerance are dropped
+    before any polishing.
     """
     config = config or SolverConfig()
     m, n, k = spec.m, spec.n, spec.k
     expected = spec.expected_count()
     lvars = tuple(f"l{i + 1}" for i in range(k))
-    Mpoly = pencil_matrix_poly(spec.base, spec.basis, lvars)
+    # the minors are only ever evaluated in floating point
+    Mpoly = PolyMatrix([
+        [entry.with_domain(COMPLEX) for entry in row]
+        for row in pencil_matrix_poly(spec.base, spec.basis, lvars).entries
+    ])
     minors = maximal_minors(Mpoly)
     minors_system = _CompiledSystem(minors, lvars)
     base_np = spec.base.to_numpy()
@@ -318,27 +357,36 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
     def residual(lam):
         return minor_residual(member_array(base_np, basis_np, lam))
 
+    kvars = tuple(f"k{i + 1}" for i in range(m))
     attempts = [
-        (nstarts, False, config.seed),
-        (4 * nstarts, False, config.seed + 1),
-        (4 * nstarts, True, config.seed + 2),
+        ("bordered", nstarts, config.seed),
+        ("kernel", nstarts, config.seed + 3),
+        ("bordered", 4 * nstarts, config.seed + 1),
+        ("mixed", 4 * nstarts, config.seed + 2),
     ]
     last = []
-    for starts, mix, seed in attempts:
-        # the bordered minors (columns 1..m-1 plus one) lead the lexicographic order
-        eqs = _mixed_bordered_minors(Mpoly, m, n, seed) if mix else minors[:k]
+    for system, starts, seed in attempts:
+        if system == "kernel":
+            eqs, svars = _kernel_system(spec, kvars, lvars, seed), kvars + lvars
+        else:
+            # the bordered minors (columns 1..m-1 plus one) lead the lexicographic order
+            eqs = _mixed_bordered_minors(Mpoly, m, n, seed) if system == "mixed" else minors[:k]
+            svars = lvars
         roots = newton_system(eqs, replace(config, starts=starts, seed=seed), scale=data_scale)
         deflated = None
         candidates = []
         for root in roots:
-            point = root.point
+            # lambda is the trailing k coordinates of every endpoint
+            point = root.point[-k:]
+            # polishing never turns a rejected endpoint into an eigenvalue
+            if residual(point) > config.tol:
+                continue
             if root.possibly_multiple:
-                deflated = deflated or _deflated_system(eqs, lvars)
-                polished = _deflate_polish(deflated, point)
+                deflated = deflated or _deflated_system(eqs, svars)
+                polished = _deflate_polish(deflated, root.point)[-k:]
                 if residual(polished) <= config.tol:
                     point = polished
-            if residual(point) <= config.tol:
-                candidates.append((point, root.possibly_multiple))
+            candidates.append((point, root.possibly_multiple))
         if not candidates:
             last = []
             continue

@@ -237,11 +237,12 @@ def test_heine_solve_agrees_with_branch_systems(m, n):
             assert all(abs(z) < 1e-9 for z in e.kappa[:i]), (trial, i)
 
 
-# A triple eigenvalue, which still traps the general 2x4 solve (see
-# test_triple_eigenvalue_2x4 in tests/test_locus.py), is all of branch 1 here:
-# the 2x3 trailing block's three eigenvalues coincide, and the block solve
-# finds them; same draws, with the solver seeds of their heine_solve
-# operations.
+# A triple eigenvalue is all of branch 1 here: the trailing block's
+# eigenvalues coincide, and the block solve finds them (the general 2x4 solve
+# of the same draws: test_triple_eigenvalue_2x4 in tests/test_locus.py).  The
+# draws come from the triangular-heine benchmark workload, with the solver
+# seeds of their heine_solve operations: 2x4 at (workload seed, round) =
+# (5, 442) and (6, 321), 2x6 at (5, 840), (20, 272) and (32, 826).
 @pytest.mark.parametrize(
     "entries,seed",
     [
@@ -252,3 +253,16 @@ def test_heine_solve_agrees_with_branch_systems(m, n):
 def test_heine_triple_eigenvalue_2x4(entries, seed):
     eigs = heine_solve(RectMatrix(entries), SolverConfig(seed=seed))
     assert sorted(e.multiplicity for e in eigs) == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "entries,seed",
+    [
+        ([[2, 1, -8, -6, 5, 0], [0, 0, -8, -9, -6, 5]], 442277255),
+        ([[9, -6, 0, -9, 9, 0], [0, 4, 6, -4, -9, 9]], 1318381827),
+        ([[7, 6, -2, 2, 9, 0], [0, 2, 6, 0, 2, 9]], 990828281),
+    ],
+)
+def test_heine_triple_eigenvalue_2x6(entries, seed):
+    eigs = heine_solve(RectMatrix(entries), SolverConfig(seed=seed))
+    assert sorted(e.multiplicity for e in eigs) == [1, 1, 1, 3]

@@ -375,21 +375,85 @@ def test_double_eigenvalue_2x3_sweep():
     assert solved >= 40
 
 
-# A triple eigenvalue (p_A with a cubed factor) traps the solver: no Newton
-# endpoint near the triple point passes the full-minor residual filter, so
-# only the simple eigenvalue is found.  The draws come from the
-# triangular-heine benchmark workload at (workload seed, round) = (5, 442) and
-# (6, 321).  heine_solve gets past it (tests/test_heine.py): there the triple
-# point is the whole of branch 1, a 2x3 block pencil.
-@pytest.mark.xfail(strict=True, raises=NumericFailure, reason="triple eigenvalue")
+# A triple eigenvalue (p_A with a cubed factor): on the bordered minors no
+# Newton endpoint near the triple point passes the full-minor residual filter,
+# because every upper-triangular pencil's bordered minors vanish on the whole
+# hyperplane lambda_1 = -a_11.  The kernel system has no such component, so its
+# attempt can reach the triple point, but Newton stalls near it (steps of about
+# eps^(1/3)) and only some starts are marked converged.  The draws come from the
+# triangular-heine benchmark workload at (workload seed, round) = (5, 442),
+# (6, 321) and (11, 403), with the solver seeds of their general solves.
 @pytest.mark.parametrize(
     "entries,seed",
     [
         ([[-5, 6, 0, -1], [0, -6, 9, -3]], 1172400668),
         ([[-2, -4, -2, 0], [0, -8, -4, -2]], 1932798683),
+        ([[-1, 4, -7, 0], [0, 9, 4, -7]], 666188110),
     ],
 )
 def test_triple_eigenvalue_2x4(entries, seed):
     spec = PencilSpec(RectMatrix(entries), standard_diagonal_basis(2, 4))
     eigs = solve_eigenvalue_locus(spec, SolverConfig(seed=seed))
     assert sorted(e.multiplicity for e in eigs) == [1, 3]
+
+
+# The same trap at (11, 183) and (20, 298): no kernel-system start near the
+# triple point is marked converged, and the bordered attempts stay trapped.
+@pytest.mark.xfail(strict=True, raises=NumericFailure, reason="triple eigenvalue")
+@pytest.mark.parametrize(
+    "entries,seed",
+    [
+        ([[3, -6, 4, -2], [0, 1, 0, -2]], 328837930),
+        ([[-6, 0, 3, 1], [0, -5, -3, 6]], 413382341),
+    ],
+)
+def test_triple_eigenvalue_2x4_stalls(entries, seed):
+    spec = PencilSpec(RectMatrix(entries), standard_diagonal_basis(2, 4))
+    eigs = solve_eigenvalue_locus(spec, SolverConfig(seed=seed))
+    assert sorted(e.multiplicity for e in eigs) == [1, 3]
+
+
+# -- kernel system --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_triangular_solve_skips_hyperplane(monkeypatch, seed):
+    # the bordered minors of an upper-triangular pencil share the factor
+    # a11 + l1; the kernel attempt solves it, and endpoints on the hyperplane
+    # are dropped by the residual before any deflation polish
+    counts = {"newton": 0, "polish": 0}
+    newton, polish = locus.newton_system, locus._deflate_polish
+
+    def counted_newton(*args, **kwargs):
+        counts["newton"] += 1
+        return newton(*args, **kwargs)
+
+    def counted_polish(*args, **kwargs):
+        counts["polish"] += 1
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(locus, "newton_system", counted_newton)
+    monkeypatch.setattr(locus, "_deflate_polish", counted_polish)
+    spec = PencilSpec(RectMatrix([[1, 2, 3, 4], [0, 5, 6, 7]]), standard_diagonal_basis(2, 4))
+    eigs = solve_eigenvalue_locus(spec, SolverConfig(seed=seed))
+    assert sum(e.multiplicity for e in eigs) == 4
+    assert counts == {"newton": 2, "polish": 0}
+
+
+def test_kernel_system_vanishes_at_eigenvalues():
+    m, n = 3, 5
+    spec = PencilSpec(rand_rational_matrix(make_gen(131), m, n), standard_diagonal_basis(m, n))
+    kvars = tuple(f"k{i + 1}" for i in range(m))
+    lvars = tuple(f"l{i + 1}" for i in range(spec.k))
+    eqs = locus._kernel_system(spec, kvars, lvars, seed=5)
+    assert len(eqs) == n + 1 == len(kvars + lvars)
+    # the last equation is the chart c . kappa - 1
+    chart = np.array([complex(eqs[-1].terms[tuple(int(i == r) for i in range(n + 1))])
+                      for r in range(m)])
+    eigs = solve_eigenvalue_locus(spec, SolverConfig(seed=7))
+    assert len(eigs) == math.comb(n, m - 1)
+    for e in eigs:
+        kappa = np.array(e.kappa) / (chart @ np.array(e.kappa))
+        point = dict(zip(kvars + lvars, [*kappa, *e.lambdas]))
+        for eq in eqs:
+            assert abs(complex(eq.eval(point))) < 1e-9
