@@ -6,9 +6,12 @@ column); the bilinear kernel system kappa^T (A + sum l_i B_i) = 0 with a random
 chart on kappa, which has no spurious components where the bordered minors
 share a factor (the hyperplane lambda_1 = -a_11 of every upper-triangular
 pencil); the bordered minors again with four times the starts; and the
-bordered minors after a random unitary column mixing.  Each attempt keeps the
-endpoints whose residual over all maximal minors passes, polishes the flagged
-ones, clusters coincident roots and recovers the left kernel vector from the
+bordered minors after a random unitary column mixing.  Each attempt stops its
+Newton batch once binom(n, m-1) distinct eigenvalues, each certified simple,
+are in hand: a transversal pencil has exactly that many counted with
+multiplicity, so they are the whole locus.  Each attempt keeps the endpoints
+whose residual over all maximal minors passes, polishes the flagged ones,
+clusters coincident roots and recovers the left kernel vector from the
 singular value decomposition.  A root is certified simple, multiplicity 1,
 when the Jacobian of all maximal minors has full column rank there (one batched
 SVD over all roots); every other root gets its multiplicity from the dimension
@@ -30,6 +33,7 @@ from .pencil import (
     maximal_minors,
     member_array,
     minor_residual,
+    minor_residuals,
     normalize_at_largest,
     row_echelon,
 )
@@ -178,26 +182,27 @@ def _cluster(points: np.ndarray, radius: float):
             for part in (np.imag, np.real)]
     order = np.lexsort(keys)
     pts = points[order]
-    label = np.full(len(pts), -1)
-    opened = 0
+    clusters = []
     free = np.arange(len(pts))
     while free.size:
         # the first free point opens a cluster; every free point within the
         # radius of it has no earlier cluster in reach, so it joins this one
         near = np.abs(pts[free] - pts[free[0]]).max(axis=1) <= radius
-        label[free[near]] = opened
-        opened += 1
+        clusters.append(order[free[near]])
         free = free[~near]
-    by_label = np.argsort(label, kind="stable")
-    return np.split(order[by_label], np.cumsum(np.bincount(label))[:-1])
+    return clusters
 
 
-def newton_system(equations, config: SolverConfig, scale: float = 1.0):
+def newton_system(equations, config: SolverConfig, scale: float = 1.0, enough=None):
     """Solve a square polynomial system from seeded random complex starts.
 
     Returns de-duplicated roots; a root whose Jacobian is numerically singular
     is retained and flagged possibly multiple.  Output is deterministic for a
-    fixed config.
+    fixed config.  After each iteration, ``enough`` (when given) receives the
+    endpoints that converged in it as an (S, dim) array; a true answer stops
+    the whole batch, and the endpoints converged so far are returned as usual.
+    Without it the batch runs until every start has converged or diverged, or
+    for ``NEWTON_MAX_ITER`` iterations.
     """
     equations = list(equations)
     if not equations:
@@ -237,6 +242,8 @@ def newton_system(equations, config: SolverConfig, scale: float = 1.0):
         active[idx[done]] = False
         diverged = np.abs(Xn).max(axis=1) > 1e8 * max(1.0, scale)
         active[idx[diverged]] = False
+        if enough is not None and done.any() and enough(Xn[done]):
+            break
     pts = X[converged]
     if pts.size == 0:
         return []
@@ -336,6 +343,16 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
     times the starts; then the solver gives up with a diagnostic error.
     Endpoints whose full-minor residual exceeds the tolerance are dropped
     before any polishing.
+
+    Each attempt stops its Newton batch as soon as binom(n, m-1) distinct
+    eigenvalues are held that pass the residual and are certified simple (see
+    :func:`_count_stop`).  That is the whole locus: a transversal pencil has
+    exactly that many eigenvalues with multiplicity, and a positive-dimensional
+    component (a non-transversal pencil) both fails the certificate on its
+    points and, by positivity of excess intersection (Fulton, *Intersection
+    Theory*, ch. 12), leaves fewer isolated ones.  Multiple roots never
+    certify, so their attempts run in full; the gate above still judges
+    everything Newton returns.
     """
     config = config or SolverConfig()
     m, n, k = spec.m, spec.n, spec.k
@@ -349,13 +366,18 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
     minors = maximal_minors(Mpoly)
     minors_system = _CompiledSystem(minors, lvars)
     base_np = spec.base.to_numpy()
-    basis_np = [L.to_numpy() for L in spec.basis]
+    basis_np = np.array([L.to_numpy() for L in spec.basis])
     basis_scale = max(1.0, max(np.linalg.norm(L) for L in basis_np))
     data_scale = 1.0 + spec.base.frobenius()
     nstarts = config.starts if config.starts is not None else 40 * expected
 
-    def residual(lam):
-        return minor_residual(member_array(base_np, basis_np, lam))
+    def certify_simple(reps, members):
+        # full column rank of the all-minor Jacobian at a batch of eigenvalues
+        sigma = np.linalg.svd(
+            minors_system.values_and_jacobian(reps)[1], compute_uv=False
+        )[:, -1]
+        jac_scale = np.maximum(1.0, np.linalg.norm(members, axis=(1, 2))) ** (m - 1)
+        return sigma >= CERTIFY_RTOL * jac_scale * basis_scale
 
     kvars = tuple(f"k{i + 1}" for i in range(m))
     attempts = [
@@ -372,38 +394,33 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
             # the bordered minors (columns 1..m-1 plus one) lead the lexicographic order
             eqs = _mixed_bordered_minors(Mpoly, m, n, seed) if system == "mixed" else minors[:k]
             svars = lvars
-        roots = newton_system(eqs, replace(config, starts=starts, seed=seed), scale=data_scale)
+        roots = newton_system(
+            eqs, replace(config, starts=starts, seed=seed), scale=data_scale,
+            enough=_count_stop(k, expected, config.tol, base_np, basis_np, certify_simple),
+        )
+        # lambda is the trailing k coordinates of every endpoint
+        points = np.array([root.point[-k:] for root in roots], dtype=complex).reshape(-1, k)
+        flagged = np.array([root.possibly_multiple for root in roots], dtype=bool)
+        # polishing never turns a rejected endpoint into an eigenvalue
+        keep = minor_residuals(member_array(base_np, basis_np, points)) <= config.tol
         deflated = None
-        candidates = []
-        for root in roots:
-            # lambda is the trailing k coordinates of every endpoint
-            point = root.point[-k:]
-            # polishing never turns a rejected endpoint into an eigenvalue
-            if residual(point) > config.tol:
-                continue
-            if root.possibly_multiple:
-                deflated = deflated or _deflated_system(eqs, svars)
-                polished = _deflate_polish(deflated, root.point)[-k:]
-                if residual(polished) <= config.tol:
-                    point = polished
-            candidates.append((point, root.possibly_multiple))
-        if not candidates:
+        for i in np.flatnonzero(keep & flagged):
+            deflated = deflated or _deflated_system(eqs, svars)
+            polished = _deflate_polish(deflated, roots[i].point)[-k:]
+            if minor_residual(member_array(base_np, basis_np, polished)) <= config.tol:
+                points[i] = polished
+        points, flagged = points[keep], flagged[keep]
+        if not len(points):
             last = []
             continue
-        points = np.array([p for p, _ in candidates], dtype=complex)
         merged = _cluster(points, CLUSTER_RADIUS)
         reps = np.array([points[cl].mean(axis=0) for cl in merged])
-        members = np.array([member_array(base_np, basis_np, rep) for rep in reps])
-        sigma = np.linalg.svd(
-            minors_system.values_and_jacobian(reps)[1], compute_uv=False
-        )[:, -1]
-        jac_scale = np.maximum(1.0, np.linalg.norm(members, axis=(1, 2))) ** (m - 1)
-        simple = sigma >= CERTIFY_RTOL * jac_scale * basis_scale
+        members = member_array(base_np, basis_np, reps)
+        simple = certify_simple(reps, members)
         eigenvalues = []
         total = 0
         for cl, rep, member, certified in zip(merged, reps, members, simple):
-            flagged = candidates[cl[0]][1]
-            if certified and not flagged and len(cl) == 1:
+            if certified and not flagged[cl[0]] and len(cl) == 1:
                 mult = 1
             else:
                 mult = local_multiplicity(spec, tuple(rep))
@@ -429,6 +446,37 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
             "found": [e.as_dict() for e in last],
         },
     )
+
+
+def _count_stop(k, expected, tol, base_np, basis_np, certify_simple):
+    """A stop test for :func:`newton_system`: true once the endpoints seen so
+    far hold ``expected`` distinct eigenvalues (their last ``k`` coordinates)
+    that pass the full-minor residual and the ``certify_simple`` test.
+
+    One batched residual and one batched certificate per call; endpoints
+    within ``CLUSTER_RADIUS`` of an accepted eigenvalue are not re-tested.
+    """
+    accepted = np.empty((0, k), dtype=complex)
+
+    def enough(endpoints):
+        nonlocal accepted
+        lams = endpoints[:, -k:]
+        if len(accepted):
+            near = np.abs(lams[:, None, :] - accepted[None]).max(axis=2) <= CLUSTER_RADIUS
+            lams = lams[~near.any(axis=1)]
+        if not len(lams):
+            return False
+        members = member_array(base_np, basis_np, lams)
+        passed = minor_residuals(members) <= tol
+        if not passed.any():
+            return False
+        lams, members = lams[passed], members[passed]
+        first = [cl[0] for cl in _cluster(lams, CLUSTER_RADIUS)]
+        simple = certify_simple(lams[first], members[first])
+        accepted = np.concatenate([accepted, lams[first][simple]])
+        return len(accepted) >= expected
+
+    return enough
 
 
 def _mixed_bordered_minors(Mpoly: PolyMatrix, m: int, n: int, seed: int):

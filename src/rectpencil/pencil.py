@@ -194,11 +194,10 @@ def row_echelon(rows):
 
 
 def member_array(base: np.ndarray, basis, lambdas) -> np.ndarray:
-    """The numeric pencil member base + sum(lambda_i * L_i) of complex arrays."""
-    out = np.array(base, dtype=complex)
-    for z, L in zip(lambdas, basis):
-        out += z * L
-    return out
+    """The numeric pencil member base + sum(lambda_i * L_i) as a complex array;
+    a batch of parameter tuples (S, k) gives a batch of members (S, m, n)."""
+    lambdas = np.asarray(lambdas, dtype=complex)
+    return base + (lambdas[..., None, None] * np.asarray(basis)).sum(axis=-3)
 
 
 @lru_cache(maxsize=None)
@@ -206,12 +205,19 @@ def _column_subsets(m: int, n: int) -> np.ndarray:
     return np.array(list(combinations(range(n), m)), dtype=np.intp)
 
 
+def minor_residuals(members: np.ndarray) -> np.ndarray:
+    """Largest modulus of the maximal minors of each numeric m x n member of a
+    batch (S, m, n), over max(1, ||M||_F)^m."""
+    m, n = members.shape[-2:]
+    minors = np.linalg.det(members[:, :, _column_subsets(m, n)].transpose(0, 2, 1, 3))
+    norms = np.maximum(1.0, np.linalg.norm(members, axis=(1, 2))) ** m
+    return np.abs(minors).max(axis=1) / norms
+
+
 def minor_residual(member: np.ndarray) -> float:
-    """Largest modulus of the maximal minors of a numeric m x n member (column
-    subsets in :func:`maximal_minors` order), over max(1, ||M||_F)^m."""
-    m, n = member.shape
-    minors = np.linalg.det(np.swapaxes(member[:, _column_subsets(m, n)], 0, 1))
-    return float(np.abs(minors).max() / max(1.0, np.linalg.norm(member)) ** m)
+    """:func:`minor_residuals` of one member (column subsets in
+    :func:`maximal_minors` order)."""
+    return float(minor_residuals(member[None])[0])
 
 
 def normalize_at_largest(vector) -> tuple:

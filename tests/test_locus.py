@@ -87,10 +87,12 @@ def test_solve_matches_resultant_oracle():
     minor13 = (a["a11"] + l1) * (a["a23"] + l2) - a["a13"] * a["a21"]
     cubic = resultant_univariate(minor23, minor13, "l1")
     coeffs = [complex(c.eval({})) for c in cubic.coefficients_in("l2")]
-    l2_roots = sorted(np.roots(coeffs[::-1]), key=lambda z: (z.real, z.imag))
-    solver_l2 = sorted((e.lambdas[1] for e in eigs), key=lambda z: (z.real, z.imag))
-    for mine, theirs in zip(l2_roots, solver_l2):
-        assert abs(mine - theirs) < 1e-8
+    # pair each resultant root with a distinct nearest solver root: conjugate
+    # roots can share a real part, so sorting both lists pairs them by noise
+    solver_l2 = [e.lambdas[1] for e in eigs]
+    for root in np.roots(coeffs[::-1]):
+        nearest = min(range(len(solver_l2)), key=lambda i: abs(solver_l2[i] - root))
+        assert abs(solver_l2.pop(nearest) - root) < 1e-8
 
 
 def test_completeness_2x5():
@@ -457,3 +459,39 @@ def test_kernel_system_vanishes_at_eigenvalues():
         point = dict(zip(kvars + lvars, [*kappa, *e.lambdas]))
         for eq in eqs:
             assert abs(complex(eq.eval(point))) < 1e-9
+
+
+# -- stopping at the count ------------------------------------------------------
+
+
+def test_newton_batch_stops_at_full_count(monkeypatch):
+    # without a stop test the bordered batch of this 3x5 pencil runs all
+    # NEWTON_MAX_ITER iterations: starts that drift along the spurious curves
+    # of the bordered minors never meet the step test.  Its ten eigenvalues are
+    # certified simple long before that, which stops the batch.
+    calls = []
+    steps = locus._solve_steps
+
+    def counted(J, F):
+        calls.append(None)
+        return steps(J, F)
+
+    monkeypatch.setattr(locus, "_solve_steps", counted)
+    spec = PencilSpec(rand_rational_matrix(make_gen(101), 3, 5), standard_diagonal_basis(3, 5))
+    eigs = solve_eigenvalue_locus(spec, SolverConfig(seed=101))
+    assert len(calls) <= 30
+    assert [e.multiplicity for e in eigs] == [1] * math.comb(5, 2)
+    assert all(e.residual < 1e-8 for e in eigs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nontransversal_line_plus_point_raises(seed):
+    # the locus is the line lambda_1 = 1 and one isolated point: points on the
+    # line never certify simple, so the count of 3 never stops a batch early
+    # and the solve still fails
+    A = RectMatrix([[1, 0, 0], [-1, 0, 0]])
+    B1 = RectMatrix([[0, 1, 0], [1, 0, 0]])
+    B2 = RectMatrix([[0, 0, 1], [0, 0, 0]])
+    with pytest.raises(NumericFailure) as err:
+        solve_eigenvalue_locus(PencilSpec(A, (B1, B2)), SolverConfig(seed=seed))
+    assert err.value.details["expected"] == 3
