@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import IdentityViolation, UsageError
-from .pencil import RectMatrix
+from .pencil import RectMatrix, maximal_minors
 from .polycore import (
     RATIONAL,
     Domain,
@@ -170,30 +170,18 @@ def sds_poly(ahat, m: int | None = None, n: int | None = None) -> CriticalPolyno
     if m > n:
         raise UsageError(f"need m <= n, got {m}x{n}")
     variables, domain = _joint_setup(ahat, m)
-    d = n - m + 1
-    T = build_T(m, d, RATIONAL)
-    total = MultiPoly.zero(variables, domain)
     numeric = isinstance(ahat, RectMatrix)
-    for beta in combinations(range(n), m - 1):
-        complement = [c for c in range(n) if c not in beta]
-        t_minor = (
-            sym_det(T.submatrix(range(d), complement))
-            .with_variables(variables)
-            .with_domain(domain)
-        )
-        if t_minor.is_zero:
-            continue
+    # complements of the (m-1)-subsets, in lexicographic order, are the
+    # (n-m+1)-subsets in reverse lexicographic order
+    t_minors = maximal_minors(build_T(m, n - m + 1))[::-1]
+    total = MultiPoly.zero(variables, domain)
+    for beta, top, t_minor in zip(combinations(range(n), m - 1), maximal_minors(ahat), t_minors):
         if numeric:
-            top = ahat.submatrix(range(m - 1), beta).det() if m > 1 else ahat.domain.one()
             top_poly = MultiPoly.constant(variables, top, domain)
         else:
-            top_poly = (
-                sym_det(ahat.submatrix(range(m - 1), beta)).with_variables(variables)
-                if m > 1
-                else MultiPoly.constant(variables, 1, domain)
-            )
+            top_poly = top.with_variables(variables)
         rho = sum(beta) + len(beta)  # 1-based column indices
-        term = top_poly * t_minor
+        term = top_poly * t_minor.with_variables(variables).with_domain(domain)
         total = total - term if rho % 2 else total + term
     if (m * (m - 1) // 2) % 2:
         total = -total
@@ -215,20 +203,11 @@ def monomial_exponents(i: int, d: int):
     return out
 
 
-def _minor_polys(i: int, d: int):
-    T = build_T(i, d)
-    cols = i + d - 1
-    return [
-        sym_det(T.submatrix(range(d), subset))
-        for subset in combinations(range(cols), d)
-    ]
-
-
 def basis_change_matrix(i: int, d: int) -> RectMatrix:
     """Columns express each T-minor in the monomial basis; always invertible."""
     if i < 1 or d < 1:
         raise UsageError("basis_change_matrix needs i >= 1 and d >= 1")
-    minors = _minor_polys(i, d)
+    minors = maximal_minors(build_T(i, d))
     monomials = monomial_exponents(i, d)
     index = {exp: r for r, exp in enumerate(monomials)}
     size = len(monomials)
@@ -251,7 +230,7 @@ def basis_change_matrix(i: int, d: int) -> RectMatrix:
 def minor_basis(i: int, d: int) -> MinorBasis:
     """All maximal minors of T_{i,d}, verified linearly independent."""
     basis_change_matrix(i, d)  # raises IdentityViolation if dependent
-    return MinorBasis(i, d, tuple(_minor_polys(i, d)))
+    return MinorBasis(i, d, tuple(maximal_minors(build_T(i, d))))
 
 
 def tangent_stack_matrix(ahat: RectMatrix, kernel_coeffs, basis) -> np.ndarray:

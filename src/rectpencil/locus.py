@@ -291,10 +291,8 @@ def _deflate_polish(system: _CompiledSystem, point, iters: int = 30):
 
 
 def _bordered_minors(Mpoly: PolyMatrix, m: int, n: int):
-    return [
-        sym_det(Mpoly.submatrix(range(m), sorted(set(range(m - 1)) | {j})))
-        for j in range(m - 1, n)
-    ]
+    """The minors on columns 1..m-1 plus column j, for j = m..n, in one expansion."""
+    return sym_det(Mpoly, columns=[tuple(range(m - 1)) + (j,) for j in range(m - 1, n)])
 
 
 def _deflated_system(eqs, variables):

@@ -253,18 +253,22 @@ def corank(M: RectMatrix) -> int:
 
 
 def maximal_minors(M):
-    """All maximal minors, column subsets in lexicographic order.
+    """All maximal minors, column subsets in lexicographic order, from one
+    Laplace expansion (:func:`sym_det` with ``columns``).
 
-    Accepts a scalar :class:`RectMatrix` (returns scalars) or a symbolic
-    :class:`PolyMatrix` (returns polynomials).
+    Accepts a scalar :class:`RectMatrix` (returns scalars: its entries are
+    expanded as constant polynomials, so exact domains stay exact) or a
+    symbolic :class:`PolyMatrix` (returns polynomials).
     """
     m, n = M.rows, M.cols
     if m > n:
         raise UsageError(f"need m <= n, got {m}x{n}")
-    rows = range(m)
+    subsets = combinations(range(n), m)
     if isinstance(M, PolyMatrix):
-        return [sym_det(M.submatrix(rows, cols)) for cols in combinations(range(n), m)]
-    return [M.submatrix(rows, cols).det() for cols in combinations(range(n), m)]
+        return sym_det(M, columns=subsets)
+    constant = PolyMatrix([[MultiPoly.constant((), v, M.domain) for v in row] for row in M.entries])
+    zero = M.domain.zero()
+    return [p.terms.get((), zero) for p in sym_det(constant, columns=subsets)]
 
 
 # -- resolution chart ------------------------------------------------------------

@@ -12,6 +12,7 @@ parsing use it, and structural equality is defined on the canonical form.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -447,6 +448,8 @@ class MultiPoly:
     def with_variables(self, variables) -> "MultiPoly":
         """Re-index onto a new variable list (must cover all used symbols)."""
         variables = tuple(variables)
+        if variables == self.variables:
+            return self
         pos = {}
         for i, v in enumerate(self.variables):
             if v in variables:
@@ -811,50 +814,123 @@ def symbolic_matrix(rows: int, cols: int, prefix: str = "a",
 # -- module-level operations -------------------------------------------------
 
 
-def sym_det(M: PolyMatrix, method: str = "laplace") -> MultiPoly:
-    """Symbolic determinant of a square polynomial matrix.
+def sym_det(M: PolyMatrix, method: str = "laplace", columns=None):
+    """Symbolic determinant of a square polynomial matrix, or minors of a wide one.
 
     ``laplace`` is a division-free expansion over column subsets; ``bareiss``
     is fraction-free elimination with exact divisions (exact domains only).
-    Both stay inside the coefficient domain.
+    Both stay inside the coefficient domain.  With ``columns``, an iterable of
+    increasing column-index sequences as long as ``M`` has rows, the result is
+    the list of the minors of ``M`` on those column sets, in that order, all
+    from one Laplace expansion.
     """
+    if columns is not None:
+        if method != "laplace":
+            raise UsageError("minors on column sets use the laplace method")
+        return _det_laplace(M, columns)
     if M.rows != M.cols:
         raise UsageError(f"determinant of a non-square {M.rows}x{M.cols} matrix")
     if method == "laplace":
-        return _det_laplace(M)
+        return _det_laplace(M, [range(M.cols)])[0]
     if method == "bareiss":
         return _det_bareiss(M)
     raise UsageError(f"unknown determinant method {method!r}")
 
 
-def _det_laplace(M: PolyMatrix) -> MultiPoly:
-    n = M.rows
-    zero = MultiPoly.zero(M.variables, M.domain)
-    one = MultiPoly.constant(M.variables, 1, M.domain)
-    level = {0: one}
-    for r in range(n):
-        row = M.entries[r]
+def _det_laplace(M: PolyMatrix, columns) -> list:
+    """The minors of ``M`` on each column set of ``columns``, from one Laplace
+    expansion down the rows.
+
+    Level r maps each bit mask of r+1 columns to the minor of the first r+1
+    rows on those columns; only masks inside some requested set are kept, so
+    the last level holds every requested minor.  Polynomials are raw
+    ``{packed exponent: coefficient}`` dicts: an exponent vector is one int
+    with a bit field per variable, as wide as the sum over the rows of the
+    row's largest degree in that variable needs, so a monomial product is one
+    integer addition.  Rational rows are scaled to integers by the lcm of
+    their denominators, and the product of the scales is divided out of the
+    final minors.  Each product term is formed in full before it is added to
+    its mask's sum, masks in order of first appearance, so floating-point
+    minors round exactly as the expansion of each submatrix on its own would.
+    """
+    m, n = M.rows, M.cols
+    targets = []
+    for cols in columns:
+        cols = tuple(cols)
+        if len(cols) != m or not all(0 <= a < b for a, b in zip(cols, cols[1:] + (n,))):
+            raise UsageError(f"column set {cols} is not {m} increasing indices below {n}")
+        targets.append(sum(1 << c for c in cols))
+    # masks inside a requested set; every mask of at most m columns is inside
+    # one when all m-subsets are requested
+    useful = None
+    if len(set(targets)) < math.comb(n, m):
+        useful = set()
+        for t in targets:
+            sub = t
+            while sub:
+                useful.add(sub)
+                sub = (sub - 1) & t
+    rational = M.domain.tag == "rational"
+    zero = 0 if rational else M.domain.zero()
+    fields, shift = [], 0
+    for v in range(len(M.variables)):
+        bound = sum(max((e[v] for p in row for e in p.terms), default=0) for row in M.entries)
+        fields.append((shift, (1 << bound.bit_length()) - 1))
+        shift += bound.bit_length()
+    rows, scale = [], 1
+    for row in M.entries:
+        row_scale = math.lcm(*(c.denominator for p in row for c in p.terms.values())) if rational else 1
+        scale *= row_scale
+        rows.append([
+            {
+                sum(e << at for e, (at, _) in zip(exp, fields)):
+                    c.numerator * (row_scale // c.denominator) if rational else c
+                for exp, c in p.terms.items()
+            }
+            for p in row
+        ])
+    level = {0: {0: 1 if rational else M.domain.one()}}
+    for r, row in enumerate(rows):
         nxt = {}
         for mask, minor in level.items():
-            for c in range(n):
+            for c, entry in enumerate(row):
                 bit = 1 << c
-                if mask & bit:
-                    continue
-                e = row[c]
-                if e.is_zero:
-                    continue
-                # position of column c inside the sorted subset mask|bit
-                pos = bin(mask & (bit - 1)).count("1")
-                term = e * minor
-                if (r + pos) & 1:
-                    term = -term
                 key = mask | bit
+                if mask & bit or not entry or (useful is not None and key not in useful):
+                    continue
+                term = {}
+                for e1, c1 in entry.items():
+                    for e2, c2 in minor.items():
+                        k = e1 + e2
+                        s = term.get(k, zero) + c1 * c2
+                        if s:
+                            term[k] = s
+                        else:
+                            term.pop(k, None)
+                # the sign of column c's position inside the subset
+                if (r + (mask & (bit - 1)).bit_count()) & 1:
+                    term = {k: -s for k, s in term.items()}
                 acc = nxt.get(key)
-                nxt[key] = term if acc is None else acc + term
+                if acc is None:
+                    nxt[key] = term
+                    continue
+                for k, s in term.items():
+                    s = acc.get(k, zero) + s
+                    if s:
+                        acc[k] = s
+                    else:
+                        acc.pop(k, None)
         level = nxt
         if not level:
-            return zero
-    return level.get((1 << n) - 1, zero)
+            break
+    template = MultiPoly.zero(M.variables, M.domain)
+    return [
+        template._raw({
+            tuple((k >> at) & bits for at, bits in fields): Fraction(s, scale) if rational else s
+            for k, s in level.get(t, {}).items()
+        })
+        for t in targets
+    ]
 
 
 def _det_bareiss(M: PolyMatrix) -> MultiPoly:

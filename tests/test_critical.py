@@ -32,7 +32,7 @@ from rectpencil.critical import (
 
 from helpers import make_gen, rand_fraction, rand_rational_matrix
 
-SIZES = [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
+SIZES = [(2, 2), (3, 3), (4, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5), (4, 7), (5, 8)]
 
 
 def test_build_T_shapes():

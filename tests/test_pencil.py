@@ -1,6 +1,7 @@
 """Matrices, diagonal basis, corank, minors, chart map, transversality, JSON."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from rectpencil import (
     unit_diagonal_matrix,
 )
 from rectpencil.critical import build_T, kappa_variables
+from rectpencil.locus import _bordered_minors, pencil_matrix_poly
 from rectpencil.pencil import row_echelon
 
 from helpers import make_gen, rand_fraction, rand_rational_matrix
@@ -147,6 +149,96 @@ def test_maximal_minors_banded():
         mono(k3=2),
     ]
     assert maximal_minors(T) == expected
+
+
+def _laplace_reference(M):
+    """Division-free expansion of one square submatrix on its own columns,
+    term by term through MultiPoly arithmetic: the shared expansion must
+    reproduce it bit for bit in floating point."""
+    n = M.rows
+    level = {0: MultiPoly.constant(M.variables, 1, M.domain)}
+    for r in range(n):
+        nxt = {}
+        for mask, minor in level.items():
+            for c in range(n):
+                bit = 1 << c
+                e = M.entries[r][c]
+                if mask & bit or e.is_zero:
+                    continue
+                term = e * minor
+                if (r + bin(mask & (bit - 1)).count("1")) & 1:
+                    term = -term
+                acc = nxt.get(mask | bit)
+                nxt[mask | bit] = term if acc is None else acc + term
+        level = nxt
+        if not level:
+            return MultiPoly.zero(M.variables, M.domain)
+    return level[(1 << n) - 1]
+
+
+def _locus_style_pencils(gen, domain):
+    """Pencil matrices A + sum(l_i L_i) over the diagonal basis, 2x3 to 5x8
+    in floating point and to 4x6 in exact domains, and over a dense random
+    basis to 3x5 (the reference expansion takes seconds beyond these)."""
+    sizes = ((2, 3), (2, 5), (3, 5), (4, 6), (5, 8))
+    for m, n in sizes if domain is COMPLEX else sizes[:-1]:
+        k = n - m + 1
+
+        def scalar():
+            if domain is COMPLEX:
+                return complex(gen.standard_normal(), gen.standard_normal())
+            re = rand_fraction(gen, maxden=99)
+            if domain is RATIONAL:
+                return re
+            return GaussianRational(re, rand_fraction(gen, maxden=99))
+
+        base = RectMatrix([[scalar() for _ in range(n)] for _ in range(m)], domain)
+        lvars = tuple(f"l{i + 1}" for i in range(k))
+        yield m, n, pencil_matrix_poly(base, standard_diagonal_basis(m, n, domain), lvars)
+        if n <= 5:
+            dense = [RectMatrix([[scalar() for _ in range(n)] for _ in range(m)], domain)
+                     for _ in range(k)]
+            yield m, n, pencil_matrix_poly(base, dense, lvars)
+
+
+@pytest.mark.parametrize("domain", [COMPLEX, RATIONAL, GAUSSIAN], ids=lambda d: d.tag)
+def test_batched_minors_match_per_subset_reference(domain):
+    # COMPLEX minors must round exactly as the per-subset expansion did
+    # (terms compare with float ==); exact domains must simply be equal
+    gen = make_gen(53)
+    for m, n, M in _locus_style_pencils(gen, domain):
+        subsets = list(combinations(range(n), m))
+        for cols, minor in zip(subsets, maximal_minors(M)):
+            assert minor.terms == _laplace_reference(M.submatrix(range(m), cols)).terms
+        bordered = [tuple(range(m - 1)) + (j,) for j in range(m - 1, n)]
+        for cols, minor in zip(bordered, _bordered_minors(M, m, n)):
+            assert minor.terms == _laplace_reference(M.submatrix(range(m), cols)).terms
+
+
+@pytest.mark.parametrize("domain", [RATIONAL, GAUSSIAN], ids=lambda d: d.tag)
+def test_scalar_maximal_minors_match_elimination(domain):
+    gen = make_gen(59)
+    for m, n in ((1, 3), (2, 2), (2, 4), (3, 5), (4, 7)):
+        for _ in range(3):
+            entries = [[rand_fraction(gen, maxden=99) for _ in range(n)] for _ in range(m)]
+            if domain is GAUSSIAN:
+                entries = [[GaussianRational(v, rand_fraction(gen)) for v in row]
+                           for row in entries]
+            entries[0][0] = 0  # an exact zero entry
+            M = RectMatrix(entries, domain)
+            subsets = combinations(range(n), m)
+            assert maximal_minors(M) == [M.submatrix(range(m), cols).det() for cols in subsets]
+
+
+def test_minors_on_column_sets_reject_bad_sets():
+    T = build_T(2, 2)
+    minors = maximal_minors(T)
+    assert sym_det(T, columns=[(0, 2), (0, 1)]) == [minors[1], minors[0]]
+    for bad in ((1, 0), (0, 0), (0, 3), (0,)):
+        with pytest.raises(UsageError):
+            sym_det(T, columns=[bad])
+    with pytest.raises(UsageError):
+        sym_det(T, method="bareiss", columns=[(0, 1)])
 
 
 def test_resolution_nu_examples():

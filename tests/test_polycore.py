@@ -235,6 +235,20 @@ def test_bareiss_agrees_with_laplace():
         assert sym_det(M, method="laplace") == _det_bareiss(M)
 
 
+@pytest.mark.parametrize("e", [3, 4, 7, 8, 15, 16])
+def test_packed_exponents_hold_the_top_degree(e):
+    # the x and y bit fields of the packed exponents must hold e + 1, which
+    # takes one bit more than e for e = 3, 7, 15
+    variables = ("x", "y")
+    x = MultiPoly.variable(variables, "x")
+    y = MultiPoly.variable(variables, "y")
+    M = PolyMatrix([[x**e, y], [y**e, x]])
+    assert sym_det(M) == x ** (e + 1) - y ** (e + 1)
+    assert sym_det(M) == _det_bareiss(M)
+    N = PolyMatrix([[x**e, y, x * y + 1], [y**e, x, x**e * y], [x + 2, y**e * x, y**e]])
+    assert sym_det(N) == _det_bareiss(N)
+
+
 def test_resultant_vanishes_iff_common_root():
     variables = ("x", "y")
     x = MultiPoly.variable(variables, "x")
