@@ -107,7 +107,7 @@ def _load_basis(arg: str, m: int, n: int, domain) -> list:
 def _solver_config(args) -> locus.SolverConfig:
     return locus.SolverConfig(
         tol=args.tol,
-        starts=getattr(args, "starts", None),
+        starts=args.starts,
         seed=args.seed,
     )
 
@@ -269,7 +269,7 @@ def _cmd_transversality(args):
         basis = pencil.standard_diagonal_basis(args.m, args.n)
     else:
         basis = _load_basis(args.basis, 0, 0, pencil.RATIONAL)
-    certificate = pencil.transversality_check(basis, seed=args.seed)
+    certificate = pencil.transversality_check(basis)
     payload = {"status": "ok", "certificate": certificate}
     return payload, certificate
 
@@ -308,11 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, starts=False):
+    def add_common(p, solver=False):
         p.add_argument("--format", choices=("text", "json"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
-        if starts:
+        if solver:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--tol", type=float, default=1e-8)
             p.add_argument("--starts", type=int, default=None)
 
     p = sub.add_parser(
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="base matrix JSON file")
     p.add_argument("--basis", default="diagonal",
                    help="'diagonal' or a JSON file with basis matrices")
-    add_common(p, starts=True)
+    add_common(p, solver=True)
     p.set_defaults(func=_cmd_eigenvalues)
 
     p = sub.add_parser(
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--systems-only", action="store_true",
                    help="emit the branch systems without solving them")
-    add_common(p, starts=True)
+    add_common(p, solver=True)
     p.set_defaults(func=_cmd_heine)
 
     p = sub.add_parser(
@@ -378,13 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix")
     p.add_argument("--symbolic", action="store_true",
                    help="print the 22-monomial D0 in canonical text")
-    add_common(p, starts=True)
+    add_common(p, solver=True)
     p.set_defaults(func=_cmd_discriminant23)
 
     p = sub.add_parser(
         "transversality",
         help="certify that a shift subspace meets the rank-deficient variety "
-        "only at zero (exact for two basis matrices, probabilistic beyond)",
+        "only at zero (an exact certificate for any number of basis matrices)",
     )
     p.add_argument("--basis", required=True,
                    help="'diagonal' (with --m/--n) or a JSON basis file")
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default="diagonal")
     p.add_argument("--at", help="JSON eigenvalue: components 'p/q', number, or [re,im]")
     p.add_argument("--degree-cap", type=int, default=8)
-    add_common(p, starts=True)
+    add_common(p, solver=True)
     p.set_defaults(func=_cmd_multiplicity)
 
     return parser

@@ -8,7 +8,9 @@ that the two polynomials are literally equal, not merely proportional).
 
 Also provides the banded matrix T_{i,d}, whose maximal minors form a basis of
 the homogeneous polynomials of degree d in i variables, and the invertible
-change-of-basis matrix to the monomial basis.
+change-of-basis matrix to the monomial basis: the
+:func:`~rectpencil.pencil.minor_coefficient_matrix` of T_{i,d}, the same
+construction that certifies transversality.
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ from itertools import combinations
 import numpy as np
 
 from .errors import IdentityViolation, UsageError
-from .pencil import RectMatrix, maximal_minors
+from .pencil import (
+    RectMatrix,
+    maximal_minors,
+    minor_coefficient_matrix,
+    monomial_exponents,  # re-exported: the monomial order of basis_change_matrix rows
+)
 from .polycore import (
     RATIONAL,
     Domain,
@@ -188,38 +195,11 @@ def sds_poly(ahat, m: int | None = None, n: int | None = None) -> CriticalPolyno
     return CriticalPolynomial(m, n, total)
 
 
-def monomial_exponents(i: int, d: int):
-    """Exponent vectors of degree-d monomials in i variables, graded-lex descending."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), d, i)
-    return out
-
-
 def basis_change_matrix(i: int, d: int) -> RectMatrix:
     """Columns express each T-minor in the monomial basis; always invertible."""
     if i < 1 or d < 1:
         raise UsageError("basis_change_matrix needs i >= 1 and d >= 1")
-    minors = maximal_minors(build_T(i, d))
-    monomials = monomial_exponents(i, d)
-    index = {exp: r for r, exp in enumerate(monomials)}
-    size = len(monomials)
-    if len(minors) != size:
-        raise IdentityViolation(
-            f"{len(minors)} minors for a {size}-dimensional space of forms"
-        )
-    grid = [[0] * size for _ in range(size)]
-    for col, poly in enumerate(minors):
-        for exp, coeff in poly.terms.items():
-            grid[index[exp]][col] = coeff
-    out = RectMatrix(grid, RATIONAL)
+    out = minor_coefficient_matrix(build_T(i, d))
     if out.det() == 0:
         raise IdentityViolation(
             f"T-minors of ({i},{d}) are linearly dependent; this must never happen"

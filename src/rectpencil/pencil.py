@@ -1,9 +1,10 @@
 """Rectangular matrices, pencil specifications, and rank-one geometry.
 
 Provides the shifted-diagonal basis matrices, corank computation in exact and
-floating domains, maximal minors in lexicographic column-subset order, the
-chart map that appends a dependent last row, and transversality certificates
-for candidate subspaces.
+floating domains, maximal minors in lexicographic column-subset order and
+their coefficient matrix in the monomial basis, the chart map that appends a
+dependent last row, and an exact transversality certificate for candidate
+subspaces.
 """
 
 from __future__ import annotations
@@ -31,11 +32,6 @@ from .polycore import (
 )
 
 FLOAT_RANK_RTOL = 1e-8
-# probabilistic transversality (three or more basis matrices): random affine
-# slices, Newton starts per slice, and the relative minor residual of a find
-TRANSVERSALITY_SLICES = 5
-TRANSVERSALITY_STARTS = 10
-TRANSVERSALITY_TOL = 1e-8
 
 
 class RectMatrix:
@@ -271,6 +267,41 @@ def maximal_minors(M):
     return [p.terms.get((), zero) for p in sym_det(constant, columns=subsets)]
 
 
+def monomial_exponents(i: int, d: int):
+    """Exponent vectors of degree-d monomials in i variables, graded-lex descending."""
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for e in range(remaining, -1, -1):
+            rec(prefix + (e,), remaining - e, slots - 1)
+
+    rec((), d, i)
+    return out
+
+
+def minor_coefficient_matrix(M: PolyMatrix) -> RectMatrix:
+    """Coefficients of the maximal minors of a d x (i+d-1) matrix of linear
+    forms in i variables, in the degree-d monomial basis.
+
+    Row r belongs to ``monomial_exponents(i, d)[r]`` and column S to the S-th
+    column subset of :func:`maximal_minors`; both number C(i+d-1, d), so the
+    matrix is square.  It is invertible exactly when the minors span the
+    degree-d forms.
+    """
+    d, i = M.rows, len(M.variables)
+    if M.cols != i + d - 1:
+        raise UsageError(f"need a d x (i+d-1) matrix in i variables, got {d}x{M.cols} in {i}")
+    index = {exp: r for r, exp in enumerate(monomial_exponents(i, d))}
+    grid = [[M.domain.zero()] * len(index) for _ in index]
+    for col, poly in enumerate(maximal_minors(M)):
+        for exp, coeff in poly.terms.items():
+            grid[index[exp]][col] = coeff
+    return RectMatrix(grid, M.domain)
+
+
 # -- resolution chart ------------------------------------------------------------
 
 
@@ -431,30 +462,28 @@ def _univariate_gcd(polys):
     return g
 
 
-def transversality_check(basis, seed: int = 12345) -> str:
+def transversality_check(basis) -> str:
     """Certify whether the span of ``basis`` meets the rank-deficient variety
-    only at zero.
+    only at zero: ``"transversal"`` or ``"non-transversal"``, exactly.
 
-    For two basis matrices the certificate is exact: the maximal minors of
-    c1*L1 + c2*L2 are binary forms, and the subspace is transversal iff their
-    gcd is constant.  For one matrix the test is the determinant.  For three
-    or more the check is probabilistic: search for a nonzero combination of
-    deficient rank on random affine slices; a find certifies non-transversal,
-    otherwise the verdict is ``inconclusive``.
+    Entries are rationalized exactly.  With kappa = (k1, ..., km), the
+    subspace is transversal iff the coefficient matrix Delta_0 of the maximal
+    minors of the k x n matrix with rows kappa^T L_1, ..., kappa^T L_k is
+    invertible (:func:`minor_coefficient_matrix`; det Delta_0 is a constant
+    times the multigraded resultant of the n bilinear forms).  For two basis
+    matrices the same verdict comes faster from the maximal minors of
+    c1*L1 + c2*L2, which are binary forms: the subspace is transversal iff
+    their gcd is constant.
     """
     if not basis:
         raise UsageError("empty basis")
+    m, n = basis[0].rows, basis[0].cols
+    if any((L.rows, L.cols) != (m, n) for L in basis):
+        raise UsageError("basis matrices must all have the shape of the first")
     _require_independent(basis)
     k = len(basis)
-    m, n = basis[0].rows, basis[0].cols
     if k != n - m + 1:
         raise UsageError(f"expected {n - m + 1} basis matrices for {m}x{n}, got {k}")
-
-    if k == 1:
-        L = basis[0]
-        if L.domain.is_exact:
-            return "transversal" if L.det() != 0 else "non-transversal"
-        return "transversal" if minor_residual(L.to_numpy()) > TRANSVERSALITY_TOL else "non-transversal"
 
     if k == 2:
         cvars = ("c1", "c2")
@@ -490,44 +519,21 @@ def transversality_check(basis, seed: int = 12345) -> str:
         g = _univariate_gcd(coeff_lists)
         return "transversal" if len(g) == 1 else "non-transversal"
 
-    # k >= 3: probabilistic slices; import here to avoid a module cycle
-    from .locus import SolverConfig, _bordered_minors, newton_system, pencil_matrix_poly
-
-    rng = np.random.default_rng(seed)
-    zero_base = RectMatrix.zeros(m, n, COMPLEX)
-    for _ in range(TRANSVERSALITY_SLICES):
-        alpha = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        c0 = alpha.conj() / np.vdot(alpha, alpha).real
-        # orthonormal directions spanning the hyperplane alpha . c = const
-        q, _ = np.linalg.qr(
-            np.column_stack([alpha.conj(), np.eye(k, k - 1, dtype=complex)])
-        )
-        dirs = q[:, 1:]
-        base = zero_base
-        for i in range(k):
-            base = base + basis[i].scale(complex(c0[i]))
-        slice_basis = []
-        for j in range(k - 1):
-            Lj = RectMatrix.zeros(m, n, COMPLEX)
-            for i in range(k):
-                Lj = Lj + basis[i].scale(complex(dirs[i, j]))
-            slice_basis.append(Lj)
-        tvars = tuple(f"t{j + 1}" for j in range(k - 1))
-        Mpoly = pencil_matrix_poly(base, slice_basis, tvars)
-        # a square system: the bordered minors of all columns but the last
-        eqs = _bordered_minors(Mpoly, m, n - 1)
-        config = SolverConfig(
-            tol=TRANSVERSALITY_TOL,
-            starts=TRANSVERSALITY_STARTS,
-            seed=int(rng.integers(0, 2**63 - 1)),
-        )
-        base_np = base.to_numpy()
-        slice_np = [L.to_numpy() for L in slice_basis]
-        for root in newton_system(eqs, config, scale=2.0):
-            member = member_array(base_np, slice_np, root.point)
-            if minor_residual(member) <= TRANSVERSALITY_TOL:
-                return "non-transversal"
-    return "inconclusive"
+    kvars = tuple(f"k{r + 1}" for r in range(m))
+    units = [tuple(int(r == s) for s in range(m)) for r in range(m)]
+    exact = [[[_as_exact(v) for v in row] for row in L.entries] for L in basis]
+    domain = (
+        GAUSSIAN
+        if any(isinstance(v, GaussianRational) for grid in exact for row in grid for v in row)
+        else RATIONAL
+    )
+    rows = PolyMatrix(
+        [
+            [MultiPoly(kvars, {units[r]: grid[r][j] for r in range(m)}, domain) for j in range(n)]
+            for grid in exact
+        ]
+    )
+    return "transversal" if minor_coefficient_matrix(rows).det() != 0 else "non-transversal"
 
 
 # -- JSON schema -------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 from rectpencil import (
     COMPLEX,
     MultiPoly,
+    PolyMatrix,
     RATIONAL,
     RectMatrix,
     ResolutionPoint,
@@ -14,6 +15,7 @@ from rectpencil import (
     standard_diagonal_basis,
     unit_diagonal_matrix,
 )
+from rectpencil.critical import kappa_variables
 
 
 def make_gen(seed):
@@ -37,6 +39,63 @@ def rand_admissible_upper(gen, m, n):
                 entries[i][j] = int(gen.integers(-9, 10))
         if len({entries[i][i] for i in range(m)}) == m:
             return RectMatrix(entries)
+
+
+def _matmul(A, B):
+    return [
+        [sum((A[i][t] * B[t][j] for t in range(len(B))), Fraction(0)) for j in range(len(B[0]))]
+        for i in range(len(A))
+    ]
+
+
+def _rand_int_grid(gen, rows, cols, lo=-9, hi=9):
+    return [[int(gen.integers(lo, hi + 1)) for _ in range(cols)] for _ in range(rows)]
+
+
+def transformed_diagonal_basis(gen, m, n):
+    """P * J_s * Q for random invertible integer P, Q.  Rank is unchanged by P
+    and Q, so the basis stays transversal."""
+
+    def invertible(k):
+        while True:
+            M = _rand_int_grid(gen, k, k, -2, 2)
+            if RectMatrix(M).det() != 0:
+                return M
+
+    P, Q = invertible(m), invertible(n)
+    return [RectMatrix(_matmul(_matmul(P, J.entries), Q)) for J in standard_diagonal_basis(m, n)]
+
+
+def non_transversal_basis(gen, m, n):
+    """An independent basis L_1..L_k of m x n matrices with L_1 = X*Y - sum_{i>=2}
+    r_i L_i, X of size m x (m-1) and Y of size (m-1) x n, so the nonzero
+    combination L_1 + sum r_i L_i has rank below m."""
+    k = n - m + 1
+    while True:
+        deficient = _matmul(_rand_int_grid(gen, m, m - 1), _rand_int_grid(gen, m - 1, n))
+        rest = [_rand_int_grid(gen, m, n) for _ in range(k - 1)]
+        r = [rand_fraction(gen) for _ in rest]
+        first = [
+            [deficient[i][j] - sum(ri * L[i][j] for ri, L in zip(r, rest)) for j in range(n)]
+            for i in range(m)
+        ]
+        basis = [RectMatrix(first)] + [RectMatrix(L) for L in rest]
+        if RectMatrix([L.flatten() for L in basis]).rank() == k:
+            return basis
+
+
+def kappa_rows(basis):
+    """The k x n matrix of linear forms with rows kappa^T L_1, ..., kappa^T L_k
+    over kappa = (k1, ..., km)."""
+    m, n = basis[0].rows, basis[0].cols
+    kvars = kappa_variables(m)
+    units = [tuple(int(s == r) for s in range(m)) for r in range(m)]
+    return PolyMatrix(
+        [
+            [MultiPoly(kvars, {units[r]: L.entries[r][j] for r in range(m)}) for j in range(n)]
+            for L in basis
+        ]
+    )
 
 
 def rand_poly(gen, variables, max_degree=4, terms=5, domain=RATIONAL):

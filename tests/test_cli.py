@@ -149,6 +149,31 @@ def test_transversality_command():
     assert json.loads(out)["certificate"] == "transversal"
 
 
+def test_transversality_mixed_shapes_exits_two(tmp_path):
+    path = tmp_path / "basis.json"
+    basis = [RectMatrix.zeros(2, 3), RectMatrix.zeros(3, 2)]
+    path.write_text(json.dumps([matrix_to_json(L) for L in basis]))
+    code, out, _ = run_cli(["transversality", "--basis", str(path)])
+    assert code == EXIT_USAGE
+    assert json.loads(out)["status"] == "usage-error"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["critical-poly", "--m", "2", "--n", "3"],
+        ["sds-poly", "--m", "2", "--n", "3"],
+        ["basis-check", "--i", "2", "--d", "2"],
+        ["transversality", "--basis", "diagonal", "--m", "2", "--n", "3"],
+    ],
+    ids=lambda args: args[0],
+)
+@pytest.mark.parametrize("flag", ["--seed", "--tol"])
+def test_exact_subcommands_take_no_solver_flags(args, flag):
+    code, _, _ = run_cli(args + [flag, "1"])
+    assert code == EXIT_USAGE
+
+
 def test_multiplicity_at_exact_zero(tmp_path):
     A = RectMatrix.zeros(2, 3)
     path = tmp_path / "Z.json"

@@ -30,7 +30,9 @@ from rectpencil.critical import (
     tangent_stack_matrix,
 )
 
-from helpers import make_gen, rand_fraction, rand_rational_matrix
+from rectpencil.pencil import minor_coefficient_matrix
+
+from helpers import kappa_rows, make_gen, rand_fraction, rand_rational_matrix
 
 SIZES = [(2, 2), (3, 3), (4, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5), (4, 7), (5, 8)]
 
@@ -285,6 +287,10 @@ def test_basis_change_invertible_through_degree_seven():
             change = basis_change_matrix(i, d)
             assert change.rows == math.comb(i + d - 1, d)
             assert change.det() != 0
+            # T(i, d) has rows kappa^T J_s of the i x (i+d-1) diagonal basis: the
+            # T-minor basis theorem says the diagonal subspace is transversal
+            rows = kappa_rows(standard_diagonal_basis(i, i + d - 1))
+            assert minor_coefficient_matrix(rows) == change
 
 
 def test_monomial_exponents_graded_lex():

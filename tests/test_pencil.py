@@ -31,9 +31,16 @@ from rectpencil import (
 )
 from rectpencil.critical import build_T, kappa_variables
 from rectpencil.locus import _bordered_minors, pencil_matrix_poly
-from rectpencil.pencil import row_echelon
+from rectpencil.pencil import minor_coefficient_matrix, row_echelon
 
-from helpers import make_gen, rand_fraction, rand_rational_matrix
+from helpers import (
+    kappa_rows,
+    make_gen,
+    non_transversal_basis,
+    rand_fraction,
+    rand_rational_matrix,
+    transformed_diagonal_basis,
+)
 
 
 def test_unit_diagonal_2x3():
@@ -357,12 +364,58 @@ def test_transversality_single_row_subspace():
 
 
 def test_transversality_probabilistic_k3():
-    assert transversality_check(standard_diagonal_basis(2, 4), seed=4) == "inconclusive"
+    assert transversality_check(standard_diagonal_basis(2, 4)) == "transversal"
     bad = [
         RectMatrix([[1 if (r == 0 and c == i) else 0 for c in range(5)] for r in range(3)])
         for i in range(3)
     ]
-    assert transversality_check(bad, seed=4) == "non-transversal"
+    assert transversality_check(bad) == "non-transversal"
+
+
+K3_SHAPES = [(2, 4), (2, 5), (3, 5), (3, 6)]
+
+
+@pytest.mark.parametrize("m,n", K3_SHAPES)
+def test_transversality_transformed_diagonal(m, n):
+    gen = make_gen(10 * m + n)
+    for _ in range(5):
+        assert transversality_check(transformed_diagonal_basis(gen, m, n)) == "transversal"
+
+
+@pytest.mark.parametrize("m,n", K3_SHAPES)
+def test_transversality_constructed_non_transversal(m, n):
+    gen = make_gen(100 + 10 * m + n)
+    for _ in range(5):
+        assert transversality_check(non_transversal_basis(gen, m, n)) == "non-transversal"
+
+
+def test_transversality_gcd_agrees_with_minor_coefficient_det():
+    gen = make_gen(53)
+    for m in range(2, 6):
+        for build in (transformed_diagonal_basis, non_transversal_basis):
+            for _ in range(3):
+                basis = build(gen, m, m + 1)
+                delta0 = minor_coefficient_matrix(kappa_rows(basis))
+                expected = "transversal" if delta0.det() != 0 else "non-transversal"
+                assert transversality_check(basis) == expected
+
+
+@pytest.mark.parametrize(
+    "shapes", [[(2, 3), (3, 2)], [(2, 4), (2, 3), (2, 4)]], ids=["2x3-3x2", "2x4-2x3-2x4"]
+)
+def test_transversality_mixed_shapes(shapes):
+    basis = [RectMatrix.zeros(*shape) for shape in shapes]
+    with pytest.raises(UsageError, match="shape"):
+        transversality_check(basis)
+
+
+def test_minor_coefficient_matrix_of_linear_rows():
+    # k1 + 2 k2 and 3 k2 are the two 1 x 1 minors: columns (1, 2) and (0, 3)
+    k = kappa_variables(2)
+    M = PolyMatrix([[MultiPoly(k, {(1, 0): 1, (0, 1): 2}), MultiPoly(k, {(0, 1): 3})]])
+    assert minor_coefficient_matrix(M) == RectMatrix([[1, 0], [2, 3]])
+    with pytest.raises(UsageError):
+        minor_coefficient_matrix(PolyMatrix([[MultiPoly(k, {(1, 0): 1})] * 3]))
 
 
 def test_transversality_square_case():
