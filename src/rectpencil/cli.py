@@ -121,6 +121,7 @@ def _parse_at(text: str, k: int):
         raise UsageError(f"--at must be a JSON list of {k} components")
     point = []
     for item in raw:
+        pencil.reject_json_booleans(item)
         if isinstance(item, str):
             point.append(Fraction(item))
         elif isinstance(item, (int, float)):

@@ -1,10 +1,12 @@
 """Rectangular matrices, pencil specifications, and rank-one geometry.
 
-Provides the shifted-diagonal basis matrices, corank computation in exact and
-floating domains, maximal minors in lexicographic column-subset order and
-their coefficient matrix in the monomial basis, the chart map that appends a
-dependent last row, and an exact transversality certificate for candidate
-subspaces.
+Provides the shifted-diagonal basis matrices, one fraction-free (Bareiss)
+elimination on integer-scaled rows for every exact rank and determinant,
+corank computation in exact and floating domains, maximal minors in
+lexicographic column-subset order and their coefficient matrix in the
+monomial basis, the chart map that appends a dependent last row, and an exact
+transversality certificate (det Delta_0 != 0) for candidate subspaces of
+every size.
 """
 
 from __future__ import annotations
@@ -152,19 +154,46 @@ class RectMatrix:
         return f"RectMatrix({self.rows}x{self.cols}, {self.domain.tag})"
 
 
-def row_echelon(rows):
-    """Forward Gaussian elimination over an exact field, in place.
+def _integer_row(row, gaussian: bool):
+    """``(scale, row * scale)``: the row cleared of denominators by their lcm,
+    as ints, or as Gaussian rationals with integer parts."""
+    if not gaussian:
+        scale = math.lcm(*(v.denominator for v in row))
+        return scale, [v.numerator * (scale // v.denominator) for v in row]
+    row = [v if isinstance(v, GaussianRational) else GaussianRational(v) for v in row]
+    scale = math.lcm(*(d for v in row for d in (v.re.denominator, v.im.denominator)))
+    return scale, [
+        GaussianRational(
+            v.re.numerator * (scale // v.re.denominator),
+            v.im.numerator * (scale // v.im.denominator),
+        )
+        for v in row
+    ]
 
-    Each column takes the first row at or below the current one with a nonzero
-    entry as its pivot and clears the entries below it; there is no back
-    substitution.  Returns ``(rank, pivot_product, rows)``: the first ``rank``
-    rows are the echelon rows, and ``pivot_product`` is the product of the
-    pivots signed by the row swaps, the determinant of a full-rank square
-    matrix.
+
+def row_echelon(rows):
+    """Fraction-free (Bareiss) forward elimination over an exact domain.
+
+    Each row is first scaled to integers (Gaussian integers for Gaussian
+    rows) by the lcm of its denominators.  Each column takes the first row at
+    or below the current one with a nonzero entry as its pivot and clears the
+    entries below it; every division by the previous pivot is exact, so no
+    entry leaves the integers.  There is no back substitution.  Returns
+    ``(rank, determinant, rows)``, with ``rows`` replaced in place by the
+    scaled rows: the first ``rank`` are the echelon rows, each a nonzero
+    multiple of the row field elimination would give.  ``determinant`` is
+    the sign of the row swaps times the last pivot over the product of the
+    row scales, the determinant of a full-rank square matrix.
     """
+    gaussian = any(isinstance(v, GaussianRational) for row in rows for v in row)
+    scale = 1
+    for i, row in enumerate(rows):
+        s, rows[i] = _integer_row(row, gaussian)
+        scale *= s
     ncols = len(rows[0]) if rows else 0
     rank = 0
-    product = 1
+    sign = 1
+    prev = GaussianRational(1) if gaussian else 1
     for c in range(ncols):
         if rank == len(rows):
             break
@@ -173,17 +202,21 @@ def row_echelon(rows):
             continue
         if pivot != rank:
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            product = -product
-        pv = rows[rank][c]
-        product = product * pv
+            sign = -sign
+        top = rows[rank][c:]
+        pv = top[0]
         for i in range(rank + 1, len(rows)):
-            f = rows[i][c] / pv
-            if f == 0:
+            row = rows[i]
+            f = row[c]
+            if f == 0 and pv == prev:
                 continue
-            for j in range(c, ncols):
-                rows[i][j] = rows[i][j] - f * rows[rank][j]
+            if gaussian:
+                row[c:] = [(pv * a - f * b) / prev for a, b in zip(row[c:], top)]
+            else:
+                row[c:] = [(pv * a - f * b) // prev for a, b in zip(row[c:], top)]
+        prev = pv
         rank += 1
-    return rank, product, rows
+    return rank, sign * prev / scale if gaussian else Fraction(sign * prev, scale), rows
 
 
 # -- numeric pencil members ------------------------------------------------------
@@ -417,51 +450,6 @@ def _as_exact(value):
     raise UsageError(f"cannot rationalize {value!r}")
 
 
-def _binary_form_coeffs(poly: MultiPoly, degree: int):
-    """Coefficient list c[t] of c1^t c2^(degree-t) for a binary form."""
-    coeffs = [poly.domain.zero()] * (degree + 1)
-    for exp, c in poly.terms.items():
-        coeffs[exp[0]] = c
-    return coeffs
-
-
-def _strip_zeros(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_rem(a, b):
-    """Remainder of ascending coefficient lists over a field; b nonzero."""
-    a = _strip_zeros(a[:])
-    while a and len(a) >= len(b):
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = a[shift + i] - f * c
-        _strip_zeros(a)
-    return a
-
-
-def _univariate_gcd(polys):
-    """Gcd of univariate coefficient lists (ascending) over an exact field."""
-    g = []
-    for p in polys:
-        p = _strip_zeros(p[:])
-        if not p:
-            continue
-        if not g:
-            g = p
-            continue
-        a, b = g, p
-        while b:
-            a, b = b, _poly_rem(a, b)
-        g = a
-        if len(g) == 1:
-            return g
-    return g
-
-
 def transversality_check(basis) -> str:
     """Certify whether the span of ``basis`` meets the rank-deficient variety
     only at zero: ``"transversal"`` or ``"non-transversal"``, exactly.
@@ -470,10 +458,9 @@ def transversality_check(basis) -> str:
     subspace is transversal iff the coefficient matrix Delta_0 of the maximal
     minors of the k x n matrix with rows kappa^T L_1, ..., kappa^T L_k is
     invertible (:func:`minor_coefficient_matrix`; det Delta_0 is a constant
-    times the multigraded resultant of the n bilinear forms).  For two basis
-    matrices the same verdict comes faster from the maximal minors of
-    c1*L1 + c2*L2, which are binary forms: the subspace is transversal iff
-    their gcd is constant.
+    times the multigraded resultant of the n bilinear forms).  The
+    determinant comes from the fraction-free elimination of
+    :func:`row_echelon`, for every number of basis matrices.
     """
     if not basis:
         raise UsageError("empty basis")
@@ -484,40 +471,6 @@ def transversality_check(basis) -> str:
     k = len(basis)
     if k != n - m + 1:
         raise UsageError(f"expected {n - m + 1} basis matrices for {m}x{n}, got {k}")
-
-    if k == 2:
-        cvars = ("c1", "c2")
-        exact0 = [[_as_exact(v) for v in row] for row in basis[0].entries]
-        exact1 = [[_as_exact(v) for v in row] for row in basis[1].entries]
-        domain = (
-            GAUSSIAN
-            if any(
-                isinstance(v, GaussianRational)
-                for grid in (exact0, exact1)
-                for row in grid
-                for v in row
-            )
-            else RATIONAL
-        )
-        entries = [
-            [
-                MultiPoly(
-                    cvars,
-                    {(1, 0): exact0[i][j], (0, 1): exact1[i][j]},
-                    domain,
-                )
-                for j in range(n)
-            ]
-            for i in range(m)
-        ]
-        forms = [f for f in maximal_minors(PolyMatrix(entries)) if not f.is_zero]
-        if not forms:
-            return "non-transversal"
-        coeff_lists = [_binary_form_coeffs(f, m) for f in forms]
-        if all(cl[m] == 0 for cl in coeff_lists):
-            return "non-transversal"  # c2 divides every minor
-        g = _univariate_gcd(coeff_lists)
-        return "transversal" if len(g) == 1 else "non-transversal"
 
     kvars = tuple(f"k{r + 1}" for r in range(m))
     units = [tuple(int(r == s) for s in range(m)) for r in range(m)]
@@ -547,7 +500,21 @@ def _scalar_to_json(value, domain: Domain):
     return [value.real, value.imag]
 
 
+def reject_json_booleans(value):
+    """JSON true/false load as ``bool``, a subclass of ``int``; no domain reads
+    them as numbers, alone or inside a pair or a Gaussian object."""
+    if isinstance(value, dict):
+        parts = value.values()
+    elif isinstance(value, (list, tuple)):
+        parts = value
+    else:
+        parts = (value,)
+    if any(isinstance(v, bool) for v in parts):
+        raise UsageError(f"booleans are not numbers, got {value!r}")
+
+
 def _scalar_from_json(value, domain: Domain):
+    reject_json_booleans(value)
     if domain.tag == "rational":
         if isinstance(value, str):
             return Fraction(value)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rectpencil import matrix_to_json, RectMatrix
+from rectpencil import matrix_to_json, RectMatrix, standard_diagonal_basis
 from rectpencil.cli import (
     EXIT_IDENTITY,
     EXIT_NUMERIC,
@@ -16,6 +16,7 @@ from rectpencil.cli import (
     canonical_json,
     main,
 )
+from rectpencil.polycore import DOMAINS
 
 
 def run_cli(args):
@@ -156,6 +157,35 @@ def test_transversality_mixed_shapes_exits_two(tmp_path):
     code, out, _ = run_cli(["transversality", "--basis", str(path)])
     assert code == EXIT_USAGE
     assert json.loads(out)["status"] == "usage-error"
+
+
+@pytest.mark.parametrize(
+    "domain,entry",
+    [
+        ("rational", True),
+        ("gaussian", False),
+        ("gaussian", {"re": True, "im": "0"}),
+        ("complex", True),
+        ("complex", [1.0, False]),
+    ],
+    ids=["rational", "gaussian", "gaussian-re", "complex", "complex-pair"],
+)
+def test_json_booleans_in_matrix_file_exit_two(tmp_path, domain, entry):
+    # bool is a subclass of int, so true/false used to read as 1/0
+    basis = [matrix_to_json(J) for J in standard_diagonal_basis(2, 3, DOMAINS[domain])]
+    basis[0]["entries"][0][0] = entry
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis))
+    code, out, _ = run_cli(["transversality", "--basis", str(path)])
+    assert code == EXIT_USAGE
+    assert "boolean" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("at", ['[true, "0"]', '["0", false]', '[[true, 0], "0"]'])
+def test_json_booleans_in_at_exit_two(matrix_file, at):
+    code, out, _ = run_cli(["multiplicity", "--matrix", matrix_file, "--at", at])
+    assert code == EXIT_USAGE
+    assert "boolean" in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize(
