@@ -12,11 +12,10 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import critical, disc23, heine, locus, pencil
 from .errors import IdentityViolation, NumericFailure, UsageError
-from .polycore import GaussianRational, symbolic_matrix
+from .polycore import COMPLEX, RATIONAL, symbolic_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,15 +69,6 @@ def _write_json(obj, out):
         raise UsageError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def _scalar_json(value):
-    if isinstance(value, (int, Fraction)):
-        return str(Fraction(value))
-    if isinstance(value, GaussianRational):
-        return {"re": str(value.re), "im": str(value.im)}
-    z = complex(value)
-    return [z.real, z.imag]
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -105,11 +95,7 @@ def _load_basis(arg: str, m: int, n: int, domain) -> list:
 
 
 def _solver_config(args) -> locus.SolverConfig:
-    return locus.SolverConfig(
-        tol=args.tol,
-        starts=args.starts,
-        seed=args.seed,
-    )
+    return locus.SolverConfig(starts=args.starts, seed=args.seed)
 
 
 def _parse_at(text: str, k: int):
@@ -119,18 +105,11 @@ def _parse_at(text: str, k: int):
         raise UsageError(f"--at must be JSON: {exc}") from exc
     if not isinstance(raw, list) or len(raw) != k:
         raise UsageError(f"--at must be a JSON list of {k} components")
-    point = []
-    for item in raw:
-        pencil.reject_json_booleans(item)
-        if isinstance(item, str):
-            point.append(Fraction(item))
-        elif isinstance(item, (int, float)):
-            point.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2:
-            point.append(complex(float(item[0]), float(item[1])))
-        else:
-            raise UsageError(f"bad eigenvalue component {item!r}")
-    return tuple(point)
+    # a string component is an exact rational, anything else a complex number
+    return tuple(
+        pencil.scalar_from_json(item, RATIONAL if isinstance(item, str) else COMPLEX)
+        for item in raw
+    )
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -161,12 +140,12 @@ def _cmd_heine(args):
         branches.append(
             {
                 "index": bs.branch_index,
-                "lambda1": _scalar_json(bs.lambda1),
+                "lambda1": pencil.scalar_to_json(bs.lambda1),
                 "expected_count": count,
                 "equations": [eq.to_text() for eq in bs.equations],
                 "kernel_numerators": [p.to_text() for p in bs.kernel_numerators],
                 "kernel_denominators": [
-                    _scalar_json(d) for d in bs.kernel_denominators
+                    pencil.scalar_to_json(d) for d in bs.kernel_denominators
                 ],
             }
         )
@@ -198,7 +177,7 @@ def _cmd_critical_poly(args):
     else:
         ahat = _symbolic_ahat(m, n)
         domain = None
-    basis = _load_basis(args.basis, m, n, domain or pencil.RATIONAL)
+    basis = _load_basis(args.basis, m, n, domain or RATIONAL)
     result = critical.critical_det_poly(ahat, basis)
     payload = {
         "status": "ok",
@@ -256,7 +235,7 @@ def _cmd_discriminant23(args):
     multiple = disc23.has_multiple_eigenvalue(eigs)
     payload = {
         "status": "ok",
-        "D0_value": _scalar_json(value),
+        "D0_value": pencil.scalar_to_json(value),
         "eigenvalues": [e.as_dict() for e in eigs],
         "multiple": multiple,
     }
@@ -269,7 +248,7 @@ def _cmd_transversality(args):
             raise UsageError("--basis diagonal needs --m and --n")
         basis = pencil.standard_diagonal_basis(args.m, args.n)
     else:
-        basis = _load_basis(args.basis, 0, 0, pencil.RATIONAL)
+        basis = _load_basis(args.basis, 0, 0, RATIONAL)
     certificate = pencil.transversality_check(basis)
     payload = {"status": "ok", "certificate": certificate}
     return payload, certificate
@@ -281,7 +260,7 @@ def _cmd_multiplicity(args):
     spec = pencil.PencilSpec(A, basis)
     if args.at:
         point = _parse_at(args.at, spec.k)
-        mult = locus.local_multiplicity(spec, point, degree_cap=args.degree_cap)
+        mult = locus.local_multiplicity(spec, point)
         payload = {
             "status": "ok",
             "multiplicity": "unknown" if mult is None else mult,
@@ -313,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="json")
         if solver:
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--tol", type=float, default=1e-8)
             p.add_argument("--starts", type=int, default=None)
 
     p = sub.add_parser(
@@ -402,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--basis", default="diagonal")
     p.add_argument("--at", help="JSON eigenvalue: components 'p/q', number, or [re,im]")
-    p.add_argument("--degree-cap", type=int, default=8)
     add_common(p, solver=True)
     p.set_defaults(func=_cmd_multiplicity)
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import IdentityViolation, UsageError
 from .pencil import (
     RectMatrix,
+    kappa_rows,
     maximal_minors,
     minor_coefficient_matrix,
     monomial_exponents,  # re-exported: the monomial order of basis_change_matrix rows
@@ -141,21 +142,8 @@ def critical_det_poly(ahat, basis) -> CriticalPolynomial:
         )
     variables, domain = _joint_setup(ahat, m)
     domain = join_domains(domain, *[L.domain for L in basis])
-    kvars = kappa_variables(m)
     grid = _ahat_rows_as_polys(ahat, variables, domain)
-    for L in basis:
-        row = []
-        for c in range(n):
-            terms = {}
-            for s in range(m):
-                v = L.entries[s][c]
-                if v != L.domain.zero():
-                    exp = tuple(
-                        1 if name == kvars[s] else 0 for name in variables
-                    )
-                    terms[exp] = terms.get(exp, domain.zero()) + domain.coerce(v)
-            row.append(MultiPoly(variables, terms, domain))
-        grid.append(row)
+    grid += kappa_rows([L.entries for L in basis], variables, domain)
     det = sym_det(PolyMatrix(grid))
     return CriticalPolynomial(m, n, det)
 

@@ -24,7 +24,6 @@ from .errors import NumericFailure, UsageError
 from .locus import (
     Eigenvalue,
     SolverConfig,
-    _is_exact_scalar,
     newton_system,  # noqa: F401  bench/test_bench.py reads heine.newton_system
     solve_eigenvalue_locus,
 )
@@ -36,7 +35,7 @@ from .pencil import (
     normalize_at_largest,
     standard_diagonal_basis,
 )
-from .polycore import MultiPoly
+from .polycore import MultiPoly, domain_of
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def heine_solve(A: RectMatrix, config: SolverConfig | None = None):
                     residual=minor_residual(member),
                     multiplicity=mult,
                     flags=flags,
-                    exact_lambdas=lambdas if all(map(_is_exact_scalar, lambdas)) else None,
+                    exact_lambdas=lambdas if domain_of(lambdas).is_exact else None,
                 )
             )
     if failures:

@@ -39,19 +39,22 @@ from .pencil import (
 )
 from .polycore import (
     COMPLEX,
-    GAUSSIAN,
-    GaussianRational,
     MultiPoly,
     PolyMatrix,
+    domain_of,
     join_domains,
     sym_det,
 )
 
+# Newton convergence (step and residual) and the full-minor residual gate
+SOLVER_TOL = 1e-8
 JACOBIAN_SINGULAR_RTOL = 1e-6
 # a root is certified simple when sigma_min of the Jacobian of all maximal
 # minors is at least this times max(1, ||M||_F)^(m-1) * max(1, max ||B_i||_F)
 CERTIFY_RTOL = 1e-6
 MACAULAY_RANK_RTOL = 1e-8
+# the highest truncation degree of the Macaulay matrices
+MACAULAY_DEGREE_CAP = 8
 NEWTON_MAX_ITER = 100
 # max-norm distance under which Newton endpoints count as one root
 CLUSTER_RADIUS = 1e-6
@@ -65,13 +68,10 @@ class SolverConfig:
     problem at hand.  The seed fixes the start set, hence the whole output.
     """
 
-    tol: float = 1e-8
     starts: int | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise UsageError("solver tolerance must be positive")
         if self.starts is not None and self.starts <= 0:
             raise UsageError("start count must be positive")
 
@@ -237,7 +237,7 @@ def newton_system(equations, config: SolverConfig, scale: float = 1.0, enough=No
         X[idx] = Xn
         step = np.abs(delta).max(axis=1)
         res = np.abs(F).max(axis=1)
-        done = (step < config.tol) & (res < config.tol)
+        done = (step < SOLVER_TOL) & (res < SOLVER_TOL)
         converged[idx[done]] = True
         active[idx[done]] = False
         diverged = np.abs(Xn).max(axis=1) > 1e8 * max(1.0, scale)
@@ -247,7 +247,7 @@ def newton_system(equations, config: SolverConfig, scale: float = 1.0, enough=No
     pts = X[converged]
     if pts.size == 0:
         return []
-    pts = pts[np.abs(system.values_and_jacobian(pts)[0]).max(axis=1) < config.tol]
+    pts = pts[np.abs(system.values_and_jacobian(pts)[0]).max(axis=1) < SOLVER_TOL]
     if pts.size == 0:
         return []
     clusters = _cluster(pts, CLUSTER_RADIUS)
@@ -339,7 +339,7 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
     minors, the kernel system (:func:`_kernel_system`), the bordered minors
     with four times the starts, and a random unitary column mixing with four
     times the starts; then the solver gives up with a diagnostic error.
-    Endpoints whose full-minor residual exceeds the tolerance are dropped
+    Endpoints whose full-minor residual exceeds ``SOLVER_TOL`` are dropped
     before any polishing.
 
     Each attempt stops its Newton batch as soon as binom(n, m-1) distinct
@@ -394,18 +394,18 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
             svars = lvars
         roots = newton_system(
             eqs, replace(config, starts=starts, seed=seed), scale=data_scale,
-            enough=_count_stop(k, expected, config.tol, base_np, basis_np, certify_simple),
+            enough=_count_stop(k, expected, base_np, basis_np, certify_simple),
         )
         # lambda is the trailing k coordinates of every endpoint
         points = np.array([root.point[-k:] for root in roots], dtype=complex).reshape(-1, k)
         flagged = np.array([root.possibly_multiple for root in roots], dtype=bool)
         # polishing never turns a rejected endpoint into an eigenvalue
-        keep = minor_residuals(member_array(base_np, basis_np, points)) <= config.tol
+        keep = minor_residuals(member_array(base_np, basis_np, points)) <= SOLVER_TOL
         deflated = None
         for i in np.flatnonzero(keep & flagged):
             deflated = deflated or _deflated_system(eqs, svars)
             polished = _deflate_polish(deflated, roots[i].point)[-k:]
-            if minor_residual(member_array(base_np, basis_np, polished)) <= config.tol:
+            if minor_residual(member_array(base_np, basis_np, polished)) <= SOLVER_TOL:
                 points[i] = polished
         points, flagged = points[keep], flagged[keep]
         if not len(points):
@@ -446,7 +446,7 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
     )
 
 
-def _count_stop(k, expected, tol, base_np, basis_np, certify_simple):
+def _count_stop(k, expected, base_np, basis_np, certify_simple):
     """A stop test for :func:`newton_system`: true once the endpoints seen so
     far hold ``expected`` distinct eigenvalues (their last ``k`` coordinates)
     that pass the full-minor residual and the ``certify_simple`` test.
@@ -465,7 +465,7 @@ def _count_stop(k, expected, tol, base_np, basis_np, certify_simple):
         if not len(lams):
             return False
         members = member_array(base_np, basis_np, lams)
-        passed = minor_residuals(members) <= tol
+        passed = minor_residuals(members) <= SOLVER_TOL
         if not passed.any():
             return False
         lams, members = lams[passed], members[passed]
@@ -499,19 +499,9 @@ def _mixed_bordered_minors(Mpoly: PolyMatrix, m: int, n: int, seed: int):
 # -- local multiplicity ------------------------------------------------------
 
 
-def _is_exact_scalar(v) -> bool:
-    return isinstance(v, (int, Fraction, GaussianRational))
-
-
 def _translate(poly: MultiPoly, point, tvars):
     """Shifted polynomial p(point + t) over the translation variables."""
-    domain = poly.domain
-    if any(not _is_exact_scalar(v) for v in point):
-        domain = COMPLEX
-    elif domain.tag == "rational" and any(
-        isinstance(v, GaussianRational) for v in point
-    ):
-        domain = GAUSSIAN
+    domain = domain_of(point, poly.domain)
     values = [domain.coerce(v) for v in point]
     nvars = len(tvars)
     one = MultiPoly.constant(tvars, 1, domain)
@@ -546,10 +536,11 @@ def _monomials_upto(nvars: int, degree: int):
     return out
 
 
-def macaulay_multiplicity(generators, degree_cap: int = 8, exact: bool = False):
+def macaulay_multiplicity(generators, exact: bool = False):
     """Dimension of the local algebra of the ideal at the origin, computed as
     the stabilized corank of degree-truncated Macaulay matrices.  Returns None
-    when the cap is reached without stabilization (non-isolated or too deep).
+    when ``MACAULAY_DEGREE_CAP`` is reached without stabilization
+    (non-isolated or too deep).
     """
     generators = [g for g in generators if not g.is_zero]
     if not generators:
@@ -571,7 +562,7 @@ def macaulay_multiplicity(generators, degree_cap: int = 8, exact: bool = False):
     if any(not any(e) for g in gens for e in g.terms):
         return 0  # a unit in the ideal: empty local algebra
     prev = 1
-    for cap in range(1, degree_cap + 1):
+    for cap in range(1, MACAULAY_DEGREE_CAP + 1):
         monos = _monomials_upto(nvars, cap)
         index = {e: i for i, e in enumerate(monos)}
         rows = []
@@ -618,7 +609,7 @@ def macaulay_multiplicity(generators, degree_cap: int = 8, exact: bool = False):
     return None
 
 
-def system_local_multiplicity(equations, point, degree_cap: int = 8):
+def system_local_multiplicity(equations, point):
     """Local multiplicity of a polynomial system at a computed root."""
     equations = list(equations)
     if not equations:
@@ -627,14 +618,12 @@ def system_local_multiplicity(equations, point, degree_cap: int = 8):
     tvars = tuple(f"t{i + 1}" for i in range(len(equations[0].variables)))
     if len(point) != len(tvars):
         raise UsageError("point dimension does not match the system variables")
-    exact = all(_is_exact_scalar(v) for v in point) and all(
-        e.domain.is_exact for e in equations
-    )
+    exact = domain_of(point, join_domains(*(e.domain for e in equations))).is_exact
     gens = [_translate(e, point, tvars) for e in equations]
-    return macaulay_multiplicity(gens, degree_cap=degree_cap, exact=exact)
+    return macaulay_multiplicity(gens, exact=exact)
 
 
-def local_multiplicity(spec: PencilSpec, at, degree_cap: int = 8):
+def local_multiplicity(spec: PencilSpec, at):
     """Multiplicity of an eigenvalue: dimension of the quotient of the power
     series ring by the ideal of all maximal minors of the translated pencil.
 
@@ -648,13 +637,10 @@ def local_multiplicity(spec: PencilSpec, at, degree_cap: int = 8):
         point = tuple(at)
     if len(point) != spec.k:
         raise UsageError(f"expected {spec.k} eigenvalue components")
-    exact = (
-        all(_is_exact_scalar(v) for v in point)
-        and spec.base.domain.is_exact
-        and all(L.domain.is_exact for L in spec.basis)
-    )
+    data = join_domains(spec.base.domain, *(L.domain for L in spec.basis))
+    exact = domain_of(point, data).is_exact
     tvars = tuple(f"t{i + 1}" for i in range(spec.k))
     # complex parameters make the member a complex matrix
     shifted = spec.member(point if exact else [complex(z) for z in point])
     gens = maximal_minors(pencil_matrix_poly(shifted, spec.basis, tvars))
-    return macaulay_multiplicity(gens, degree_cap=degree_cap, exact=exact)
+    return macaulay_multiplicity(gens, exact=exact)

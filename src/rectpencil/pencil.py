@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import UsageError
 from .polycore import (
-    COMPLEX,
     GAUSSIAN,
     RATIONAL,
     Domain,
@@ -29,6 +28,7 @@ from .polycore import (
     GaussianRational,
     MultiPoly,
     PolyMatrix,
+    domain_of,
     join_domains,
     sym_det,
 )
@@ -102,11 +102,7 @@ class RectMatrix:
         )
 
     def scale(self, c) -> "RectMatrix":
-        domain = self.domain
-        if isinstance(c, (float, complex)):
-            domain = COMPLEX
-        elif isinstance(c, GaussianRational) and domain.tag == "rational":
-            domain = GAUSSIAN
+        domain = domain_of((c,), self.domain)
         c = domain.coerce(c)
         return RectMatrix(
             [[c * domain.coerce(v) for v in row] for row in self.entries], domain
@@ -160,7 +156,7 @@ def _integer_row(row, gaussian: bool):
     if not gaussian:
         scale = math.lcm(*(v.denominator for v in row))
         return scale, [v.numerator * (scale // v.denominator) for v in row]
-    row = [v if isinstance(v, GaussianRational) else GaussianRational(v) for v in row]
+    row = [GAUSSIAN.coerce(v) for v in row]
     scale = math.lcm(*(d for v in row for d in (v.re.denominator, v.im.denominator)))
     return scale, [
         GaussianRational(
@@ -185,7 +181,7 @@ def row_echelon(rows):
     the sign of the row swaps times the last pivot over the product of the
     row scales, the determinant of a full-rank square matrix.
     """
-    gaussian = any(isinstance(v, GaussianRational) for row in rows for v in row)
+    gaussian = domain_of(chain.from_iterable(rows)).tag == "gaussian"
     scale = 1
     for i, row in enumerate(rows):
         s, rows[i] = _integer_row(row, gaussian)
@@ -359,13 +355,7 @@ def resolution_nu(p: ResolutionPoint) -> RectMatrix:
 
     The result always has the left kernel vector (k_1, ..., k_{m-1}, 1).
     """
-    domain = p.ahat.domain
-    if any(isinstance(c, (float, complex)) for c in p.kernel_coeffs):
-        domain = COMPLEX
-    elif domain.tag == "rational" and any(
-        isinstance(c, GaussianRational) for c in p.kernel_coeffs
-    ):
-        domain = GAUSSIAN
+    domain = domain_of(p.kernel_coeffs, p.ahat.domain)
     coeffs = [domain.coerce(c) for c in p.kernel_coeffs]
     ahat = p.ahat.to_domain(domain)
     last = [
@@ -437,6 +427,20 @@ def _require_independent(basis):
 # -- transversality ---------------------------------------------------------------
 
 
+def kappa_rows(grids, variables, domain: Domain):
+    """The rows kappa^T L, one per m x n entry grid L, as n linear forms each
+    over ``domain``, with kappa the first m of ``variables``."""
+    m = len(grids[0])
+    units = [tuple(int(r == s) for s in range(len(variables))) for r in range(m)]
+    return [
+        [
+            MultiPoly(variables, {units[r]: grid[r][j] for r in range(m) if grid[r][j]}, domain)
+            for j in range(len(grid[0]))
+        ]
+        for grid in grids
+    ]
+
+
 def _as_exact(value):
     # floats are dyadic rationals, so rationalizing them is exact and deterministic
     if isinstance(value, (Fraction, GaussianRational)):
@@ -473,67 +477,70 @@ def transversality_check(basis) -> str:
         raise UsageError(f"expected {n - m + 1} basis matrices for {m}x{n}, got {k}")
 
     kvars = tuple(f"k{r + 1}" for r in range(m))
-    units = [tuple(int(r == s) for s in range(m)) for r in range(m)]
     exact = [[[_as_exact(v) for v in row] for row in L.entries] for L in basis]
-    domain = (
-        GAUSSIAN
-        if any(isinstance(v, GaussianRational) for grid in exact for row in grid for v in row)
-        else RATIONAL
-    )
-    rows = PolyMatrix(
-        [
-            [MultiPoly(kvars, {units[r]: grid[r][j] for r in range(m)}, domain) for j in range(n)]
-            for grid in exact
-        ]
-    )
+    domain = domain_of(v for grid in exact for row in grid for v in row)
+    rows = PolyMatrix(kappa_rows(exact, kvars, domain))
     return "transversal" if minor_coefficient_matrix(rows).det() != 0 else "non-transversal"
 
 
 # -- JSON schema -------------------------------------------------------------------
 
 
-def _scalar_to_json(value, domain: Domain):
-    if domain.tag == "rational":
+def scalar_to_json(value):
+    """The JSON form of one scalar in the domain :func:`domain_of` gives it:
+    rational ``"p/q"``, Gaussian ``{"re": "p/q", "im": "p/q"}``, or a complex
+    ``[re, im]`` float pair."""
+    tag = domain_of((value,)).tag
+    if tag == "rational":
         return str(value)
-    if domain.tag == "gaussian":
+    if tag == "gaussian":
         return {"re": str(value.re), "im": str(value.im)}
-    return [value.real, value.imag]
+    z = complex(value)
+    return [z.real, z.imag]
 
 
-def reject_json_booleans(value):
-    """JSON true/false load as ``bool``, a subclass of ``int``; no domain reads
-    them as numbers, alone or inside a pair or a Gaussian object."""
-    if isinstance(value, dict):
-        parts = value.values()
-    elif isinstance(value, (list, tuple)):
-        parts = value
-    else:
-        parts = (value,)
-    if any(isinstance(v, bool) for v in parts):
-        raise UsageError(f"booleans are not numbers, got {value!r}")
+def _json_number(part, kind):
+    """``kind(part)`` (``Fraction`` or ``float``) for one number of a JSON
+    scalar; booleans, malformed or non-finite numbers and zero denominators
+    raise :class:`UsageError`."""
+    # JSON true/false load as bool, a subclass of int
+    if isinstance(part, bool):
+        raise UsageError(f"booleans are not numbers, got {part!r}")
+    try:
+        x = kind(part)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed number {part!r}: {exc}") from None
+    if kind is float and not math.isfinite(x):
+        raise UsageError(f"non-finite number {part!r}")
+    return x
 
 
-def _scalar_from_json(value, domain: Domain):
-    reject_json_booleans(value)
-    if domain.tag == "rational":
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, int):
-            return Fraction(value)
-        raise UsageError(f"rational entries must be strings like 'p/q', got {value!r}")
-    if domain.tag == "gaussian":
-        if isinstance(value, dict) and set(value) <= {"re", "im"}:
-            return GaussianRational(
-                Fraction(value.get("re", "0")), Fraction(value.get("im", "0"))
-            )
-        if isinstance(value, (str, int)):
-            return GaussianRational(Fraction(value))
-        raise UsageError(f"gaussian entries must be {{'re': 'p/q', 'im': 'p/q'}}, got {value!r}")
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, (int, float)):
-        return complex(value)
-    raise UsageError(f"complex entries must be [re, im] pairs, got {value!r}")
+def scalar_from_json(value, domain: Domain):
+    """Read one JSON scalar into ``domain``.
+
+    Rational: a string ``"p/q"`` or an integer.  Gaussian: ``{"re": "p/q",
+    "im": "p/q"}`` (a missing part is 0) or a rational.  Complex: an
+    ``[re, im]`` pair or one real number, all finite.  Anything else raises
+    :class:`UsageError`.
+    """
+    if domain.tag == "complex":
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return complex(_json_number(value[0], float), _json_number(value[1], float))
+        if isinstance(value, (int, float)):
+            return complex(_json_number(value, float))
+    elif domain.tag == "gaussian" and isinstance(value, dict) and set(value) <= {"re", "im"}:
+        return GaussianRational(
+            _json_number(value.get("re", "0"), Fraction), _json_number(value.get("im", "0"), Fraction)
+        )
+    elif isinstance(value, (str, int)):
+        q = _json_number(value, Fraction)
+        return q if domain.tag == "rational" else GaussianRational(q)
+    form = {
+        "rational": "strings like 'p/q'",
+        "gaussian": "{'re': 'p/q', 'im': 'p/q'}",
+        "complex": "[re, im] pairs",
+    }[domain.tag]
+    raise UsageError(f"{domain.tag} entries must be {form}, got {value!r}")
 
 
 def matrix_to_json(M: RectMatrix) -> dict:
@@ -541,7 +548,7 @@ def matrix_to_json(M: RectMatrix) -> dict:
         "rows": M.rows,
         "cols": M.cols,
         "domain": M.domain.tag,
-        "entries": [[_scalar_to_json(v, M.domain) for v in row] for row in M.entries],
+        "entries": [[scalar_to_json(v) for v in row] for row in M.entries],
     }
 
 
@@ -550,13 +557,15 @@ def matrix_from_json(obj: dict) -> RectMatrix:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         tag = obj["domain"]
         entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed matrix object: {exc}") from exc
-    if tag not in DOMAINS:
+    if not isinstance(tag, str) or tag not in DOMAINS:
         raise UsageError(f"unknown domain {tag!r}")
     domain = DOMAINS[tag]
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise UsageError(f"matrix entries must be a list of rows, got {entries!r}")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise UsageError("matrix entries do not match declared dimensions")
     return RectMatrix(
-        [[_scalar_from_json(v, domain) for v in row] for row in entries], domain
+        [[scalar_from_json(v, domain) for v in row] for row in entries], domain
     )

@@ -173,6 +173,23 @@ COMPLEX = Domain("complex", atol=1e-10)
 DOMAINS = {"rational": RATIONAL, "gaussian": GAUSSIAN, "complex": COMPLEX}
 
 
+def domain_of(values, domain: Domain = RATIONAL) -> Domain:
+    """The smallest domain that holds ``domain`` and every scalar in ``values``.
+
+    ``int`` and ``Fraction`` values keep ``domain``, a :class:`GaussianRational`
+    lifts the rational domain to the Gaussian one, and any other value (a
+    float or a complex number) needs the complex domain.
+    """
+    # one test per distinct type: long exact rows hold one or two types
+    for kind in set(map(type, values)):
+        if issubclass(kind, GaussianRational):
+            if domain.tag == "rational":
+                domain = GAUSSIAN
+        elif not issubclass(kind, (int, Fraction)):
+            return COMPLEX
+    return domain
+
+
 def join_domains(*domains: Domain) -> Domain:
     """Smallest common domain: rational < gaussian < complex."""
     tags = {d.tag for d in domains}
@@ -409,13 +426,7 @@ class MultiPoly:
                 raise UsageError(
                     f"unknown symbol {name!r}; variables are {self.variables}"
                 )
-        target = self.domain
-        if any(isinstance(v, (float, complex)) for v in point.values()):
-            target = COMPLEX
-        elif target.tag == "rational" and any(
-            isinstance(v, GaussianRational) for v in point.values()
-        ):
-            target = GAUSSIAN
+        target = domain_of(point.values(), self.domain)
         assigned = [
             (i, target.coerce(point[v]))
             for i, v in enumerate(self.variables)
@@ -814,27 +825,20 @@ def symbolic_matrix(rows: int, cols: int, prefix: str = "a",
 # -- module-level operations -------------------------------------------------
 
 
-def sym_det(M: PolyMatrix, method: str = "laplace", columns=None):
+def sym_det(M: PolyMatrix, columns=None):
     """Symbolic determinant of a square polynomial matrix, or minors of a wide one.
 
-    ``laplace`` is a division-free expansion over column subsets; ``bareiss``
-    is fraction-free elimination with exact divisions (exact domains only).
-    Both stay inside the coefficient domain.  With ``columns``, an iterable of
-    increasing column-index sequences as long as ``M`` has rows, the result is
-    the list of the minors of ``M`` on those column sets, in that order, all
-    from one Laplace expansion.
+    The determinant is a division-free Laplace expansion over column subsets,
+    so it stays inside the coefficient domain.  With ``columns``, an iterable
+    of increasing column-index sequences as long as ``M`` has rows, the result
+    is the list of the minors of ``M`` on those column sets, in that order,
+    all from one expansion.
     """
     if columns is not None:
-        if method != "laplace":
-            raise UsageError("minors on column sets use the laplace method")
         return _det_laplace(M, columns)
     if M.rows != M.cols:
         raise UsageError(f"determinant of a non-square {M.rows}x{M.cols} matrix")
-    if method == "laplace":
-        return _det_laplace(M, [range(M.cols)])[0]
-    if method == "bareiss":
-        return _det_bareiss(M)
-    raise UsageError(f"unknown determinant method {method!r}")
+    return _det_laplace(M, [range(M.cols)])[0]
 
 
 def _det_laplace(M: PolyMatrix, columns) -> list:
@@ -934,6 +938,8 @@ def _det_laplace(M: PolyMatrix, columns) -> list:
 
 
 def _det_bareiss(M: PolyMatrix) -> MultiPoly:
+    """Fraction-free elimination with exact divisions (exact domains only):
+    the reference :func:`sym_det` is tested against."""
     if not M.domain.is_exact:
         raise UsageError("bareiss determinant requires an exact domain")
     n = M.rows

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -160,32 +161,67 @@ def test_transversality_mixed_shapes_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "domain,entry",
+    "domain,entry,error",
     [
-        ("rational", True),
-        ("gaussian", False),
-        ("gaussian", {"re": True, "im": "0"}),
-        ("complex", True),
-        ("complex", [1.0, False]),
+        ("rational", True, "boolean"),
+        ("gaussian", False, "boolean"),
+        ("gaussian", {"re": True, "im": "0"}, "boolean"),
+        ("complex", True, "boolean"),
+        ("complex", [1.0, False], "boolean"),
+        ("rational", "abc", "malformed number"),
+        ("rational", "1/0", "malformed number"),
+        ("gaussian", {"re": "x"}, "malformed number"),
+        ("complex", ["a", 0], "malformed number"),
+        ("complex", [math.nan, 0], "non-finite number"),
     ],
-    ids=["rational", "gaussian", "gaussian-re", "complex", "complex-pair"],
+    ids=[
+        "rational", "gaussian", "gaussian-re", "complex", "complex-pair",
+        "rational-text", "rational-zero-denominator", "gaussian-text", "complex-text", "complex-nan",
+    ],
 )
-def test_json_booleans_in_matrix_file_exit_two(tmp_path, domain, entry):
-    # bool is a subclass of int, so true/false used to read as 1/0
+def test_json_booleans_in_matrix_file_exit_two(tmp_path, domain, entry, error):
+    # bool is a subclass of int, so true/false used to read as 1/0; the
+    # malformed numbers used to escape the reader as ValueError or
+    # ZeroDivisionError, or load as NaN
     basis = [matrix_to_json(J) for J in standard_diagonal_basis(2, 3, DOMAINS[domain])]
     basis[0]["entries"][0][0] = entry
     path = tmp_path / "basis.json"
     path.write_text(json.dumps(basis))
     code, out, _ = run_cli(["transversality", "--basis", str(path)])
     assert code == EXIT_USAGE
-    assert "boolean" in json.loads(out)["error"]
+    assert error in json.loads(out)["error"]
 
 
-@pytest.mark.parametrize("at", ['[true, "0"]', '["0", false]', '[[true, 0], "0"]'])
-def test_json_booleans_in_at_exit_two(matrix_file, at):
+@pytest.mark.parametrize(
+    "field,value",
+    [("entries", 5), ("entries", [5, 5]), ("rows", "two"), ("domain", [])],
+    ids=["entries", "entries-rows", "rows", "domain"],
+)
+def test_malformed_matrix_object_exits_two(tmp_path, field, value):
+    obj = matrix_to_json(RectMatrix([[1, 2, 3], [0, 4, 5]]))
+    obj[field] = value
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run_cli(["eigenvalues", "--matrix", str(path)])
+    assert code == EXIT_USAGE
+    assert json.loads(out)["status"] == "usage-error"
+
+
+_MALFORMED_AT = [
+    ('[true, "0"]', "boolean"),
+    ('["0", false]', "boolean"),
+    ('[[true, 0], "0"]', "boolean"),
+    ('["x", "0"]', "malformed number"),
+    ('["1/0", "0"]', "malformed number"),
+    ("[NaN, 0]", "non-finite number"),
+]
+
+
+@pytest.mark.parametrize("at,error", _MALFORMED_AT, ids=[at for at, _ in _MALFORMED_AT])
+def test_json_booleans_in_at_exit_two(matrix_file, at, error):
     code, out, _ = run_cli(["multiplicity", "--matrix", matrix_file, "--at", at])
     assert code == EXIT_USAGE
-    assert "boolean" in json.loads(out)["error"]
+    assert error in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize(

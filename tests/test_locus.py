@@ -299,9 +299,9 @@ def _count_multiplicity_calls(monkeypatch):
     calls = []
     original = locus.local_multiplicity
 
-    def counted(spec, at, degree_cap=8):
+    def counted(spec, at):
         calls.append(at)
-        return original(spec, at, degree_cap)
+        return original(spec, at)
 
     monkeypatch.setattr(locus, "local_multiplicity", counted)
     return calls

@@ -1,4 +1,4 @@
-"""The README's library example and its file-free CLI commands run as written."""
+"""The README's library example and its CLI commands run as written."""
 
 import io
 import re
@@ -17,12 +17,13 @@ def _blocks(language):
     return re.findall(rf"^```{language}\n(.*?)^```", README, re.S | re.M)
 
 
-def _cli_commands():
-    """``rectpencil …`` lines of the README's shell blocks that read no file."""
+def _cli_commands(reads_file=False):
+    """``rectpencil …`` lines of the README's shell blocks that read the
+    README's ``A.json`` (``reads_file``) or no file at all."""
     commands = []
     for block in _blocks("sh"):
         for line in block.splitlines():
-            if line.startswith("rectpencil ") and ".json" not in line:
+            if line.startswith("rectpencil ") and (".json" in line) == reads_file:
                 commands.append(shlex.split(line)[1:])
     return commands
 
@@ -48,6 +49,18 @@ def test_file_free_commands_are_all_covered():
 
 @pytest.mark.parametrize("args", _cli_commands(), ids=lambda args: args[0])
 def test_cli_command_exits_zero(args):
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        code = main(args)
+    assert code == EXIT_OK
+    assert out.getvalue()
+
+
+@pytest.mark.parametrize("args", _cli_commands(reads_file=True), ids=lambda args: args[0])
+def test_file_command_exits_zero(tmp_path, monkeypatch, args):
+    # the commands read A.json, the matrix the README's json block shows
+    (matrix,) = _blocks("json")
+    (tmp_path / "A.json").write_text(matrix)
+    monkeypatch.chdir(tmp_path)
     with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
         code = main(args)
     assert code == EXIT_OK
