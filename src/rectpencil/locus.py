@@ -1,22 +1,20 @@
 """Numeric eigenvalue locus computation and local multiplicities.
 
-The solver runs seeded multi-start Newton iteration on a ladder of square
-systems: the bordered maximal minors (columns {1..m-1} plus one varying
-column); the bilinear kernel system kappa^T (A + sum l_i B_i) = 0 with a random
-chart on kappa, which has no spurious components where the bordered minors
-share a factor (the hyperplane lambda_1 = -a_11 of every upper-triangular
-pencil); the bordered minors again with four times the starts; and the
-bordered minors after a random unitary column mixing.  Each attempt stops its
-Newton batch once binom(n, m-1) distinct eigenvalues, each certified simple,
-are in hand: a transversal pencil has exactly that many counted with
-multiplicity, so they are the whole locus.  Each attempt keeps the endpoints
-whose residual over all maximal minors passes, polishes the flagged ones,
-clusters coincident roots and recovers the left kernel vector from the
-singular value decomposition.  A root is certified simple, multiplicity 1,
-when the Jacobian of all maximal minors has full column rank there (one batched
-SVD over all roots); every other root gets its multiplicity from the dimension
-of the local algebra (stabilized corank of truncated Macaulay matrices of the
-minor ideal).
+The locus of a transversal pencil is the joint spectrum of the commuting
+matrices X_j = Delta_0^-1 Delta_j, where Delta_0 is the coefficient matrix of
+the maximal minors of the rows kappa^T B_1, ..., kappa^T B_k and Delta_j the
+same with row j replaced by kappa^T A; both have binom(n, m-1) rows, the
+eigenvalue count.  The solver first runs one seeded multi-start Newton batch
+on the bordered maximal minors (columns {1..m-1} plus one varying column) and
+keeps its answer when it holds binom(n, m-1) distinct roots that pass the
+residual over all maximal minors and are certified simple by the full column
+rank of the Jacobian of all maximal minors; that is the generic case.  Every
+other pencil takes one eigendecomposition of a random combination of the X_j:
+clusters of coincident eigenvalues give the multiplicities, and the mean of
+each cluster over its invariant subspace gives lambda.  Kernel vectors come
+from the singular value decomposition of the member.  Local multiplicities at
+a given point come from the dimension of the local algebra (stabilized corank
+of truncated Macaulay matrices of the minor ideal).
 """
 
 from __future__ import annotations
@@ -30,9 +28,10 @@ from .errors import NumericFailure, UsageError
 from .pencil import (
     PencilSpec,
     RectMatrix,
+    kappa_rows,
     maximal_minors,
     member_array,
-    minor_residual,
+    minor_coefficient_matrix,
     minor_residuals,
     normalize_at_largest,
     row_echelon,
@@ -43,7 +42,6 @@ from .polycore import (
     PolyMatrix,
     domain_of,
     join_domains,
-    sym_det,
 )
 
 # Newton convergence (step and residual) and the full-minor residual gate
@@ -58,14 +56,20 @@ MACAULAY_DEGREE_CAP = 8
 NEWTON_MAX_ITER = 100
 # max-norm distance under which Newton endpoints count as one root
 CLUSTER_RADIUS = 1e-6
+# two Delta eigenvalues are one cluster within this times eps ||M||_F times
+# the smaller condition number; copies of multiple ones were seen at <= 2.4
+DELTA_CLUSTER_FACTOR = 100
+# trapezoid nodes on the circle whose integral gives a cluster's projector
+CONTOUR_NODES = 32
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the multi-start Newton solver.
+    """Knobs for the solver.
 
-    ``starts=None`` resolves to 40 times the expected root count of the
-    problem at hand.  The seed fixes the start set, hence the whole output.
+    ``starts`` sizes the Newton batch; ``None`` resolves to 40 times the
+    expected root count of the problem at hand.  The seed fixes the start set
+    and the random combination of the Delta matrices, hence the whole output.
     """
 
     starts: int | None = None
@@ -276,84 +280,22 @@ def _solve_steps(J, F):
         return out
 
 
-def _deflate_polish(system: _CompiledSystem, point, iters: int = 30):
-    """Gauss-Newton on a square system augmented with det(Jacobian), compiled
-    together as ``system``; regular at a simple fold, so multiple roots
-    sharpen to near machine precision."""
-    x = np.array(point, dtype=complex)
-    for _ in range(iters):
-        F, J = system.values_and_jacobian(x[None, :])
-        step, *_ = np.linalg.lstsq(J[0], F[0], rcond=None)
-        x = x - step
-        if np.abs(step).max() < 1e-14 * max(1.0, np.abs(x).max()):
-            break
-    return tuple(x)
-
-
-def _bordered_minors(Mpoly: PolyMatrix, m: int, n: int):
-    """The minors on columns 1..m-1 plus column j, for j = m..n, in one expansion."""
-    return sym_det(Mpoly, columns=[tuple(range(m - 1)) + (j,) for j in range(m - 1, n)])
-
-
-def _deflated_system(eqs, variables):
-    """The square system ``eqs`` with det of its Jacobian appended."""
-    detj = sym_det(PolyMatrix([[p.derivative(v) for v in variables] for p in eqs]))
-    return _CompiledSystem(list(eqs) + [detj], variables)
-
-
-def _kernel_system(spec: PencilSpec, kvars, lvars, seed: int):
-    """The bilinear kernel system in (k1..km, l1..lk): the n entries of
-    kappa^T (A + sum l_i B_i) and a seeded random chart c . kappa - 1.
-
-    Its solutions are exactly the eigenvalues with their chart-normalized left
-    kernel vectors, with no spurious components."""
-    m, n = spec.m, spec.n
-    variables = tuple(kvars) + tuple(lvars)
-    unit = np.eye(len(variables), dtype=int)
-    eqs = []
-    for c in range(n):
-        terms = {}
-        for r in range(m):
-            terms[tuple(unit[r])] = spec.base.entries[r][c]
-            for i, L in enumerate(spec.basis):
-                terms[tuple(unit[r] + unit[m + i])] = L.entries[r][c]
-        eqs.append(MultiPoly(variables, terms, COMPLEX))
-    rng = np.random.default_rng(seed + 2000)
-    chart = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    chart /= np.linalg.norm(chart)
-    terms = {tuple(unit[r]): complex(chart[r]) for r in range(m)}
-    terms[(0,) * len(variables)] = -1
-    eqs.append(MultiPoly(variables, terms, COMPLEX))
-    return eqs
-
-
 def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None):
     """All eigenvalues of the pencil, with kernel vectors and multiplicities.
 
-    A root that Newton did not flag, that no other root merged into, and at
-    which the Jacobian of all maximal minors keeps full column rank (smallest
-    singular value above ``CERTIFY_RTOL`` times the scale of that Jacobian)
-    is simple: its multiplicity is 1.  Every other root gets its multiplicity
-    from :func:`local_multiplicity`.  The total multiplicity must reach
-    binom(n, m-1).  The attempts run in order until one does: the bordered
-    minors, the kernel system (:func:`_kernel_system`), the bordered minors
-    with four times the starts, and a random unitary column mixing with four
-    times the starts; then the solver gives up with a diagnostic error.
-    Endpoints whose full-minor residual exceeds ``SOLVER_TOL`` are dropped
-    before any polishing.
-
-    Each attempt stops its Newton batch as soon as binom(n, m-1) distinct
-    eigenvalues are held that pass the residual and are certified simple (see
-    :func:`_count_stop`).  That is the whole locus: a transversal pencil has
-    exactly that many eigenvalues with multiplicity, and a positive-dimensional
-    component (a non-transversal pencil) both fails the certificate on its
-    points and, by positivity of excess intersection (Fulton, *Intersection
-    Theory*, ch. 12), leaves fewer isolated ones.  Multiple roots never
-    certify, so their attempts run in full; the gate above still judges
-    everything Newton returns.
+    One seeded Newton batch on the bordered minors (columns 1..m-1 plus one)
+    comes first; it stops once binom(n, m-1) distinct eigenvalues pass the
+    full-minor residual ``SOLVER_TOL`` and are certified simple (see
+    :func:`_count_stop`): the Jacobian of all maximal minors keeps full column
+    rank there, its smallest singular value above ``CERTIFY_RTOL`` times its
+    scale.  A transversal pencil has exactly binom(n, m-1) eigenvalues with
+    multiplicity, so a batch that ends with that many is the whole locus, all
+    simple.  Every other pencil goes to :func:`_delta_solve`, which also gives
+    multiplicities and rejects a non-transversal subspace with
+    :class:`NumericFailure` and ``details["expected"]``.
     """
     config = config or SolverConfig()
-    m, n, k = spec.m, spec.n, spec.k
+    m, k = spec.m, spec.k
     expected = spec.expected_count()
     lvars = tuple(f"l{i + 1}" for i in range(k))
     # the minors are only ever evaluated in floating point
@@ -366,8 +308,6 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
     base_np = spec.base.to_numpy()
     basis_np = np.array([L.to_numpy() for L in spec.basis])
     basis_scale = max(1.0, max(np.linalg.norm(L) for L in basis_np))
-    data_scale = 1.0 + spec.base.frobenius()
-    nstarts = config.starts if config.starts is not None else 40 * expected
 
     def certify_simple(reps, members):
         # full column rank of the all-minor Jacobian at a batch of eigenvalues
@@ -377,73 +317,139 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
         jac_scale = np.maximum(1.0, np.linalg.norm(members, axis=(1, 2))) ** (m - 1)
         return sigma >= CERTIFY_RTOL * jac_scale * basis_scale
 
-    kvars = tuple(f"k{i + 1}" for i in range(m))
-    attempts = [
-        ("bordered", nstarts, config.seed),
-        ("kernel", nstarts, config.seed + 3),
-        ("bordered", 4 * nstarts, config.seed + 1),
-        ("mixed", 4 * nstarts, config.seed + 2),
-    ]
-    last = []
-    for system, starts, seed in attempts:
-        if system == "kernel":
-            eqs, svars = _kernel_system(spec, kvars, lvars, seed), kvars + lvars
-        else:
-            # the bordered minors (columns 1..m-1 plus one) lead the lexicographic order
-            eqs = _mixed_bordered_minors(Mpoly, m, n, seed) if system == "mixed" else minors[:k]
-            svars = lvars
-        roots = newton_system(
-            eqs, replace(config, starts=starts, seed=seed), scale=data_scale,
-            enough=_count_stop(k, expected, base_np, basis_np, certify_simple),
-        )
-        # lambda is the trailing k coordinates of every endpoint
-        points = np.array([root.point[-k:] for root in roots], dtype=complex).reshape(-1, k)
-        flagged = np.array([root.possibly_multiple for root in roots], dtype=bool)
-        # polishing never turns a rejected endpoint into an eigenvalue
-        keep = minor_residuals(member_array(base_np, basis_np, points)) <= SOLVER_TOL
-        deflated = None
-        for i in np.flatnonzero(keep & flagged):
-            deflated = deflated or _deflated_system(eqs, svars)
-            polished = _deflate_polish(deflated, roots[i].point)[-k:]
-            if minor_residual(member_array(base_np, basis_np, polished)) <= SOLVER_TOL:
-                points[i] = polished
-        points, flagged = points[keep], flagged[keep]
-        if not len(points):
-            last = []
-            continue
-        merged = _cluster(points, CLUSTER_RADIUS)
-        reps = np.array([points[cl].mean(axis=0) for cl in merged])
-        members = member_array(base_np, basis_np, reps)
-        simple = certify_simple(reps, members)
-        eigenvalues = []
-        total = 0
-        for cl, rep, member, certified in zip(merged, reps, members, simple):
-            if certified and not flagged[cl[0]] and len(cl) == 1:
-                mult = 1
-            else:
-                mult = local_multiplicity(spec, tuple(rep))
-            eigenvalues.append(
-                Eigenvalue(
-                    lambdas=tuple(complex(z) for z in rep),
-                    kappa=normalize_at_largest(np.linalg.svd(member)[0][:, -1].conj()),
-                    residual=minor_residual(member),
-                    multiplicity=mult,
-                    flags=() if mult == 1 else ("possibly-multiple", "numerical"),
-                )
-            )
-            total += mult if mult is not None else 0
-        eigenvalues.sort(key=lambda e: tuple((z.real, z.imag) for z in e.lambdas))
-        last = eigenvalues
-        if total == expected and all(e.multiplicity is not None for e in eigenvalues):
-            return eigenvalues
-    raise NumericFailure(
-        f"found total multiplicity "
-        f"{sum(e.multiplicity or 0 for e in last)} of expected {expected}",
-        details={
-            "expected": expected,
-            "found": [e.as_dict() for e in last],
-        },
+    nstarts = config.starts if config.starts is not None else 40 * expected
+    # the bordered minors lead the lexicographic order of maximal_minors
+    roots = newton_system(
+        minors[:k], replace(config, starts=nstarts), scale=1.0 + spec.base.frobenius(),
+        enough=_count_stop(k, expected, base_np, basis_np, certify_simple),
     )
+    points = np.array([r.point for r in roots], dtype=complex).reshape(-1, k)
+    members = member_array(base_np, basis_np, points)
+    keep = minor_residuals(members) <= SOLVER_TOL
+    points, members = points[keep], members[keep]
+    if (
+        len(points) == expected == len(_cluster(points, CLUSTER_RADIUS))
+        and not any(r.possibly_multiple for r, kept in zip(roots, keep) if kept)
+        and certify_simple(points, members).all()
+    ):
+        return _eigenvalues(points, members, [1] * expected)
+    return _delta_solve(spec, config.seed, base_np, basis_np)
+
+
+def _eigenvalues(reps, members, multiplicities):
+    """Eigenvalues at the rows of ``reps``, sorted by lambda, with kernel
+    vectors from the SVD of their ``members``."""
+    kernels = np.linalg.svd(members)[0][..., -1].conj()
+    eigenvalues = [
+        Eigenvalue(
+            lambdas=tuple(complex(z) for z in rep),
+            kappa=normalize_at_largest(kappa),
+            residual=float(res),
+            multiplicity=mult,
+            flags=() if mult == 1 else ("possibly-multiple", "numerical"),
+        )
+        for rep, kappa, res, mult in zip(reps, kernels, minor_residuals(members), multiplicities)
+    ]
+    eigenvalues.sort(key=lambda e: tuple((z.real, z.imag) for z in e.lambdas))
+    return eigenvalues
+
+
+def _delta_solve(spec: PencilSpec, seed: int, base_np, basis_np):
+    """The eigenvalues as the joint spectrum of X_j = Delta_0^-1 Delta_j.
+
+    Delta_0 is the coefficient matrix of the maximal minors of the rows
+    kappa^T B_1, ..., kappa^T B_k, and Delta_j the same with row j replaced by
+    kappa^T A (:func:`minor_coefficient_matrix`), built in the pencil's own
+    domain.  At an eigenvalue, X_j v = -lambda_j v for the vector v of the
+    degree-k monomials of kappa, and both sides have binom(n, m-1) rows
+    (Atkinson, *Multiparameter Eigenvalue Problems*, 1972).  Exact data with
+    det Delta_0 = 0 (a non-transversal subspace) fails at once.
+
+    One eigendecomposition of sum c_j X_j, c drawn from ``seed``, gives the
+    spectrum.  Two eigenvalues join one cluster when their distance is within
+    ``DELTA_CLUSTER_FACTOR`` times eps ||M||_F times the smaller of their
+    condition numbers: the copies of a multiple eigenvalue spread by about
+    that much, and a simple one is far better conditioned.  The cluster size
+    is the multiplicity.  Every mean must pass the full-minor residual.
+    """
+    expected = spec.expected_count()
+    domain = join_domains(spec.base.domain, *(L.domain for L in spec.basis))
+    kvars = tuple(f"k{r + 1}" for r in range(spec.m))
+    a_row, *rows = kappa_rows([spec.base.entries] + [L.entries for L in spec.basis], kvars, domain)
+    deltas = [minor_coefficient_matrix(PolyMatrix(rows))] + [
+        minor_coefficient_matrix(PolyMatrix(rows[:j] + [a_row] + rows[j + 1:]))
+        for j in range(spec.k)
+    ]
+    D = np.array([delta.to_numpy() for delta in deltas])
+    try:
+        if domain.is_exact and deltas[0].det() == 0:
+            raise np.linalg.LinAlgError
+        X = np.linalg.solve(D[0], D[1:])
+    except np.linalg.LinAlgError:
+        raise NumericFailure(
+            "the shift subspace is not transversal: Delta_0 is singular",
+            details={"expected": expected, "found": []},
+        ) from None
+    rng = np.random.default_rng(seed)
+    M = np.tensordot(rng.standard_normal(spec.k) + 1j * rng.standard_normal(spec.k), X, axes=1)
+    mu, V = np.linalg.eig(M)
+    # the rows of V^-1 are the left eigenvectors y with y^H x = 1, |x| = 1
+    cond = np.linalg.norm(np.linalg.pinv(V), axis=1)
+    spread = DELTA_CLUSTER_FACTOR * np.finfo(float).eps * np.linalg.norm(M) * cond
+    clusters = _components(np.abs(mu[:, None] - mu) <= np.minimum.outer(spread, spread))
+    reps = [_cluster_mean(X, M, mu, V, cl) for cl in clusters]
+    members = member_array(base_np, basis_np, reps)
+    passed = minor_residuals(members) <= SOLVER_TOL
+    eigenvalues = _eigenvalues(
+        np.array(reps)[passed], members[passed], [len(cl) for cl, p in zip(clusters, passed) if p]
+    )
+    if not passed.all():
+        raise NumericFailure(
+            f"found total multiplicity {sum(e.multiplicity for e in eigenvalues)} "
+            f"of expected {expected}",
+            details={"expected": expected, "found": [e.as_dict() for e in eigenvalues]},
+        )
+    return eigenvalues
+
+
+def _cluster_mean(X, M, mu, V, cl):
+    """The mean lambda over the eigenvalues ``mu[cl]`` of M = sum c_j X_j.
+
+    That is -trace(P X_j) / d for the spectral projector P of the cluster,
+    well conditioned where its d copies are not (Kato, *Perturbation Theory
+    for Linear Operators*, ch. II).  A single eigenvalue reads it from its
+    unit eigenvector, the whole spectrum has P = I, and any other cluster
+    takes P as the integral of (z - M)^-1 / (2 pi i) over a circle about the
+    cluster, a quarter of the way to the nearest other eigenvalue, by the
+    trapezoid rule.
+    """
+    d, N = len(cl), len(M)
+    if d == 1:
+        x = V[:, cl[0]]
+        return -(X @ x) @ x.conj()
+    if d == N:
+        return -np.trace(X, axis1=1, axis2=2) / N
+    center = mu[cl].mean()
+    others = np.delete(mu, cl)
+    nodes = np.abs(others - center).min() / 4 * np.exp(
+        2j * np.pi * (np.arange(CONTOUR_NODES) + 0.5) / CONTOUR_NODES
+    )
+    resolvents = np.linalg.inv((center + nodes)[:, None, None] * np.eye(N) - M)
+    # trace((z - M)^-1 X_j) for every node z and every j
+    traces = np.einsum("qab,jba->jq", resolvents, X)
+    return -(traces @ nodes) / (CONTOUR_NODES * d)
+
+
+def _components(adjacent):
+    """Connected components of a symmetric boolean adjacency matrix, as
+    index arrays in order of their smallest index."""
+    labels = np.arange(len(adjacent))
+    while True:
+        # every node takes the smallest label among its neighbours
+        relabeled = np.where(adjacent, labels, len(labels)).min(axis=1)
+        if (relabeled == labels).all():
+            return [np.flatnonzero(labels == c) for c in np.unique(labels)]
+        labels = relabeled
 
 
 def _count_stop(k, expected, base_np, basis_np, certify_simple):
@@ -476,24 +482,6 @@ def _count_stop(k, expected, base_np, basis_np, certify_simple):
 
     return enough
 
-
-def _mixed_bordered_minors(Mpoly: PolyMatrix, m: int, n: int, seed: int):
-    """Bordered minors after a seeded random unitary mixing of the columns."""
-    rng = np.random.default_rng(seed + 1000)
-    q, _ = np.linalg.qr(
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    )
-    mixed_rows = []
-    for r in range(m):
-        row = []
-        for c in range(n):
-            acc = MultiPoly.zero(Mpoly.variables, COMPLEX)
-            for j in range(n):
-                entry = Mpoly.entries[r][j].with_domain(COMPLEX)
-                acc = acc + entry * complex(q[j, c])
-            row.append(acc)
-        mixed_rows.append(row)
-    return _bordered_minors(PolyMatrix(mixed_rows), m, n)
 
 
 # -- local multiplicity ------------------------------------------------------

@@ -142,8 +142,7 @@ class RectMatrix:
         if self.rows != self.cols:
             raise UsageError("determinant of a non-square matrix")
         if self.domain.is_exact:
-            rank, product, _ = row_echelon([list(row) for row in self.entries])
-            return product if rank == self.rows else self.domain.zero()
+            return row_echelon([list(row) for row in self.entries])[1]
         return complex(np.linalg.det(self.to_numpy()))
 
     def __repr__(self):
@@ -177,9 +176,10 @@ def row_echelon(rows):
     entry leaves the integers.  There is no back substitution.  Returns
     ``(rank, determinant, rows)``, with ``rows`` replaced in place by the
     scaled rows: the first ``rank`` are the echelon rows, each a nonzero
-    multiple of the row field elimination would give.  ``determinant`` is
-    the sign of the row swaps times the last pivot over the product of the
-    row scales, the determinant of a full-rank square matrix.
+    multiple of the row field elimination would give.  ``determinant`` is 0
+    when the rank is below the number of rows, and otherwise the sign of the
+    row swaps times the last pivot over the product of the row scales: the
+    determinant, for a square matrix.
     """
     gaussian = domain_of(chain.from_iterable(rows)).tag == "gaussian"
     scale = 1
@@ -212,6 +212,8 @@ def row_echelon(rows):
                 row[c:] = [(pv * a - f * b) // prev for a, b in zip(row[c:], top)]
         prev = pv
         rank += 1
+    if rank < len(rows):
+        sign = 0
     return rank, sign * prev / scale if gaussian else Fraction(sign * prev, scale), rows
 
 
@@ -554,11 +556,12 @@ def matrix_to_json(M: RectMatrix) -> dict:
 
 def matrix_from_json(obj: dict) -> RectMatrix:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        tag = obj["domain"]
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, tag, entries = obj["rows"], obj["cols"], obj["domain"], obj["entries"]
+    except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed matrix object: {exc}") from exc
+    # JSON true/false load as bool, a subclass of int
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (rows, cols)):
+        raise UsageError(f"matrix rows and cols must be integers, got {rows!r} and {cols!r}")
     if not isinstance(tag, str) or tag not in DOMAINS:
         raise UsageError(f"unknown domain {tag!r}")
     domain = DOMAINS[tag]

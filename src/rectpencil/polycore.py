@@ -93,6 +93,14 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        result = GaussianRational(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

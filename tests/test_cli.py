@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from rectpencil import matrix_to_json, RectMatrix, standard_diagonal_basis
+from rectpencil import GaussianRational, matrix_to_json, RectMatrix, standard_diagonal_basis
 from rectpencil.cli import (
     EXIT_IDENTITY,
     EXIT_NUMERIC,
@@ -17,7 +17,9 @@ from rectpencil.cli import (
     canonical_json,
     main,
 )
-from rectpencil.polycore import DOMAINS
+from rectpencil.disc23 import discriminant_D0
+from rectpencil.pencil import scalar_to_json
+from rectpencil.polycore import DOMAINS, GAUSSIAN
 
 
 def run_cli(args):
@@ -127,6 +129,26 @@ def test_discriminant23_numeric(matrix_file):
     assert payload["D0_value"] != "0"
 
 
+def test_discriminant23_gaussian_matrix(tmp_path):
+    A = RectMatrix(
+        [[GaussianRational(1, 1), 2, GaussianRational(0, 3)], [GaussianRational(1, -1), 4, 5]],
+        GAUSSIAN,
+    )
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps(matrix_to_json(A)))
+    code, out, _ = run_cli(["discriminant23", "--matrix", str(path)])
+    assert code == EXIT_OK
+    # D0 term by term, each power as a product of factors
+    d0 = discriminant_D0()
+    point = [A.entries[int(v[1]) - 1][int(v[2]) - 1] for v in d0.variables]
+    value = sum(
+        (c * math.prod((x for x, e in zip(point, exp) for _ in range(e)), start=GaussianRational(1))
+         for exp, c in d0.terms.items()),
+        start=GaussianRational(0),
+    )
+    assert json.loads(out)["D0_value"] == scalar_to_json(value)
+
+
 @pytest.mark.parametrize("command", ["eigenvalues", "multiplicity", "discriminant23"])
 def test_one_locus_solve_per_command(matrix_file, monkeypatch, command):
     from rectpencil import disc23, locus
@@ -194,10 +216,14 @@ def test_json_booleans_in_matrix_file_exit_two(tmp_path, domain, entry, error):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("entries", 5), ("entries", [5, 5]), ("rows", "two"), ("domain", [])],
-    ids=["entries", "entries-rows", "rows", "domain"],
+    [
+        ("entries", 5), ("entries", [5, 5]), ("rows", "two"), ("domain", []),
+        ("rows", 2.5), ("rows", 2.0), ("cols", True),
+    ],
+    ids=["entries", "entries-rows", "rows", "domain", "rows-fraction", "rows-float", "cols-bool"],
 )
 def test_malformed_matrix_object_exits_two(tmp_path, field, value):
+    # rows and cols are JSON integers: 2.5 and 2.0 used to read as 2
     obj = matrix_to_json(RectMatrix([[1, 2, 3], [0, 4, 5]]))
     obj[field] = value
     path = tmp_path / "A.json"

@@ -30,7 +30,7 @@ from rectpencil import (
     unit_diagonal_matrix,
 )
 from rectpencil.critical import build_T, kappa_variables
-from rectpencil.locus import _bordered_minors, pencil_matrix_poly
+from rectpencil.locus import pencil_matrix_poly
 from rectpencil.pencil import minor_coefficient_matrix, row_echelon
 from rectpencil.polycore import _det_bareiss
 
@@ -217,9 +217,10 @@ def test_batched_minors_match_per_subset_reference(domain):
         subsets = list(combinations(range(n), m))
         for cols, minor in zip(subsets, maximal_minors(M)):
             assert minor.terms == _laplace_reference(M.submatrix(range(m), cols)).terms
+        # the locus solver's Newton system: the bordered minors (columns
+        # 1..m-1 plus one) lead the lexicographic order
         bordered = [tuple(range(m - 1)) + (j,) for j in range(m - 1, n)]
-        for cols, minor in zip(bordered, _bordered_minors(M, m, n)):
-            assert minor.terms == _laplace_reference(M.submatrix(range(m), cols)).terms
+        assert subsets[: n - m + 1] == bordered
 
 
 @pytest.mark.parametrize("domain", [RATIONAL, GAUSSIAN], ids=lambda d: d.tag)
@@ -364,6 +365,17 @@ def test_row_echelon_of_integer_rows_stays_exact():
     assert type(det) is Fraction and det == -2
     assert rows == [[1, 2], [0, -2]]
     assert all(type(v) is int for row in rows for v in row)
+
+
+def test_row_echelon_determinant_of_singular_matrix_is_zero():
+    # the elimination stops at rank 3; its last pivot over the row scales,
+    # -5, is no determinant
+    grid = [[1, 2, 0, 0], [0, 0, 0, 0], [3, 1, 2, 0], [0, 0, 1, 4]]
+    rank, det, _ = row_echelon([list(row) for row in grid])
+    assert (rank, det) == (3, 0)
+    assert RectMatrix(grid).det() == 0
+    gaussian = [[GaussianRational(v, v) for v in row] for row in grid]
+    assert row_echelon(gaussian)[1] == 0
 
 
 def test_cross_domain_corank_agreement():
