@@ -125,7 +125,7 @@ def _cmd_eigenvalues(args):
         "m": spec.m,
         "n": spec.n,
         "expected": spec.expected_count(),
-        "total_multiplicity": sum(e.multiplicity or 0 for e in eigs),
+        "total_multiplicity": sum(e.multiplicity for e in eigs),
         "eigenvalues": [e.as_dict() for e in eigs],
     }
     return payload, None
@@ -159,7 +159,7 @@ def _cmd_heine(args):
     if not args.systems_only:
         eigs = heine.heine_solve(A, config=_solver_config(args))
         payload["eigenvalues"] = [e.as_dict() for e in eigs]
-        payload["total_multiplicity"] = sum(e.multiplicity or 0 for e in eigs)
+        payload["total_multiplicity"] = sum(e.multiplicity for e in eigs)
     return payload, None
 
 
@@ -270,7 +270,7 @@ def _cmd_multiplicity(args):
     payload = {
         "status": "ok",
         "eigenvalues": [e.as_dict() for e in eigs],
-        "total_multiplicity": sum(e.multiplicity or 0 for e in eigs),
+        "total_multiplicity": sum(e.multiplicity for e in eigs),
     }
     return payload, None
 

@@ -6,11 +6,14 @@ diagonal subspace, the Pluecker-coefficient expansion over column subsets.
 They agree exactly (the expansion carries the global sign (-1)^(m(m-1)/2) so
 that the two polynomials are literally equal, not merely proportional).
 
-Also provides the banded matrix T_{i,d}, whose maximal minors form a basis of
-the homogeneous polynomials of degree d in i variables, and the invertible
-change-of-basis matrix to the monomial basis: the
-:func:`~rectpencil.pencil.minor_coefficient_matrix` of T_{i,d}, the same
-construction that certifies transversality.
+Also provides the banded matrix T_{i,d}, the diagonal pencil
+k_1 J_1 + ... + k_i J_i on the d x (i+d-1) shifted-diagonal basis, whose
+maximal minors form a basis of the homogeneous polynomials of degree d in i
+variables, and the invertible change-of-basis matrix to the monomial basis:
+the :func:`~rectpencil.pencil.minor_coefficient_matrix` of T_{i,d}, the same
+construction that certifies transversality.  Every matrix of linear forms
+here (T_{i,d}, the rows kappa*L_j, a numeric top block) is laid out by
+:func:`~rectpencil.pencil.linear_forms`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .errors import IdentityViolation, UsageError
 from .pencil import (
     RectMatrix,
     kappa_rows,
+    linear_forms,
     maximal_minors,
     minor_coefficient_matrix,
     monomial_exponents,  # re-exported: the monomial order of basis_change_matrix rows
@@ -74,41 +78,24 @@ class MinorBasis:
 
 
 def build_T(i: int, d: int, domain: Domain = RATIONAL) -> PolyMatrix:
-    """Banded d x (i+d-1) matrix with entry k_{q-p+1} on shifted diagonals."""
+    """Banded d x (i+d-1) matrix with entry k_{q-p+1} on shifted diagonals:
+    the diagonal pencil k_1 J_1 + ... + k_i J_i."""
     if i < 1 or d < 1:
         raise UsageError("build_T needs i >= 1 and d >= 1")
-    kvars = kappa_variables(i)
     cols = i + d - 1
-    grid = []
-    for p in range(d):
-        row = []
-        for q in range(cols):
-            shift = q - p
-            if 0 <= shift < i:
-                row.append(MultiPoly.variable(kvars, kvars[shift], domain))
-            else:
-                row.append(MultiPoly.zero(kvars, domain))
-        grid.append(row)
-    return PolyMatrix(grid)
+    # J_s as plain int grids: RectMatrix objects would coerce every entry
+    grids = [[[0] * (p + s) + [1] + [0] * (cols - 1 - p - s) for p in range(d)] for s in range(i)]
+    return linear_forms(grids, kappa_variables(i), domain)
 
 
 def _ahat_rows_as_polys(ahat, variables, domain):
     """Lift the (m-1) x n top block onto the joint variable list."""
     if isinstance(ahat, PolyMatrix):
         return [
-            [
-                ahat.entries[i][j].with_variables(variables).with_domain(domain)
-                for j in range(ahat.cols)
-            ]
-            for i in range(ahat.rows)
+            [entry.with_variables(variables).with_domain(domain) for entry in row]
+            for row in ahat.entries
         ]
-    return [
-        [
-            MultiPoly.constant(variables, ahat.entries[i][j], domain)
-            for j in range(ahat.cols)
-        ]
-        for i in range(ahat.rows)
-    ]
+    return linear_forms([], variables, domain, ahat.entries).entries
 
 
 def _joint_setup(ahat, m: int):
@@ -142,8 +129,10 @@ def critical_det_poly(ahat, basis) -> CriticalPolynomial:
         )
     variables, domain = _joint_setup(ahat, m)
     domain = join_domains(domain, *[L.domain for L in basis])
-    grid = _ahat_rows_as_polys(ahat, variables, domain)
-    grid += kappa_rows([L.entries for L in basis], variables, domain)
+    grid = [
+        *_ahat_rows_as_polys(ahat, variables, domain),
+        *kappa_rows([L.entries for L in basis], variables, domain),
+    ]
     det = sym_det(PolyMatrix(grid))
     return CriticalPolynomial(m, n, det)
 

@@ -259,7 +259,7 @@ def multiple_eigenvalue_oracle(a: RectMatrix,
 def has_multiple_eigenvalue(eigs) -> bool:
     """True when two of the eigenvalues lie closer than ``COINCIDENCE_TOL`` in
     the max-norm, or one has multiplicity at least two."""
-    if any(e.multiplicity is not None and e.multiplicity >= 2 for e in eigs):
+    if any(e.multiplicity >= 2 for e in eigs):
         return True
     for i in range(len(eigs)):
         for j in range(i + 1, len(eigs)):

@@ -27,12 +27,13 @@ import numpy as np
 from .errors import NumericFailure, UsageError
 from .pencil import (
     PencilSpec,
-    RectMatrix,
     kappa_rows,
+    linear_forms,
     maximal_minors,
     member_array,
     minor_coefficient_matrix,
     minor_residuals,
+    monomial_exponents,
     normalize_at_largest,
     row_echelon,
 )
@@ -78,6 +79,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.starts is not None and self.starts <= 0:
             raise UsageError("start count must be positive")
+        if self.seed < 0:
+            raise UsageError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class Eigenvalue:
     lambdas: tuple
     kappa: tuple
     residual: float
-    multiplicity: int | None
+    multiplicity: int
     flags: tuple = ()
     exact_lambdas: tuple | None = None
 
@@ -102,7 +105,7 @@ class Eigenvalue:
             "lambda": [[z.real, z.imag] for z in self.lambdas],
             "kappa": [[z.real, z.imag] for z in self.kappa],
             "residual": self.residual,
-            "multiplicity": "unknown" if self.multiplicity is None else self.multiplicity,
+            "multiplicity": self.multiplicity,
             "flags": list(self.flags),
         }
 
@@ -148,30 +151,6 @@ class _CompiledSystem:
         table = powers[:, self._vars, self._exps].prod(axis=2)
         out = (table @ self._coeffs).reshape(X.shape[0], self.neq, self.dim + 1)
         return out[..., 0], out[..., 1:]
-
-
-def pencil_matrix_poly(base: RectMatrix, basis, varnames) -> PolyMatrix:
-    """Affine matrix base + sum(var_i * L_i) as polynomial entries."""
-    basis = list(basis)
-    varnames = tuple(varnames)
-    if len(basis) != len(varnames):
-        raise UsageError("one variable per basis matrix required")
-    domain = join_domains(base.domain, *[L.domain for L in basis])
-    m, n = base.rows, base.cols
-    nvars = len(varnames)
-    grid = []
-    for r in range(m):
-        row = []
-        for c in range(n):
-            terms = {(0,) * nvars: base.entries[r][c]}
-            for i, L in enumerate(basis):
-                v = L.entries[r][c]
-                if v != L.domain.zero():
-                    exp = tuple(1 if t == i else 0 for t in range(nvars))
-                    terms[exp] = v
-            row.append(MultiPoly(varnames, terms, domain))
-        grid.append(row)
-    return PolyMatrix(grid)
 
 
 def _cluster(points: np.ndarray, radius: float):
@@ -299,11 +278,9 @@ def solve_eigenvalue_locus(spec: PencilSpec, config: SolverConfig | None = None)
     expected = spec.expected_count()
     lvars = tuple(f"l{i + 1}" for i in range(k))
     # the minors are only ever evaluated in floating point
-    Mpoly = PolyMatrix([
-        [entry.with_domain(COMPLEX) for entry in row]
-        for row in pencil_matrix_poly(spec.base, spec.basis, lvars).entries
-    ])
-    minors = maximal_minors(Mpoly)
+    minors = maximal_minors(
+        linear_forms([L.entries for L in spec.basis], lvars, COMPLEX, spec.base.entries)
+    )
     minors_system = _CompiledSystem(minors, lvars)
     base_np = spec.base.to_numpy()
     basis_np = np.array([L.to_numpy() for L in spec.basis])
@@ -506,24 +483,6 @@ def _translate(poly: MultiPoly, point, tvars):
     return total
 
 
-def _monomials_upto(nvars: int, degree: int):
-    out = [(0,) * nvars]
-    frontier = [(0,) * nvars]
-    for _ in range(degree):
-        nxt = []
-        seen = set()
-        for exp in frontier:
-            for i in range(nvars):
-                ne = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
-                if ne not in seen:
-                    seen.add(ne)
-                    nxt.append(ne)
-        nxt.sort()
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 def macaulay_multiplicity(generators, exact: bool = False):
     """Dimension of the local algebra of the ideal at the origin, computed as
     the stabilized corank of degree-truncated Macaulay matrices.  Returns None
@@ -538,47 +497,42 @@ def macaulay_multiplicity(generators, exact: bool = False):
     if exact:
         gens = generators
     else:
-        # the origin is a root by contract: drop the residual constant term
+        # the origin is a root by contract: drop the residual constant term,
+        # and scale each generator to unit sup-coefficient
         gens = []
         for g in generators:
-            terms = {e: c for e, c in g.terms.items() if any(e)}
-            gens.append(MultiPoly(tvars, terms, g.domain))
-        scales = []
-        for g in gens:
-            mx = max((abs(complex(c)) for c in g.terms.values()), default=0.0)
-            scales.append(mx if mx > 0 else 1.0)
+            terms = {e: complex(c) for e, c in g.terms.items() if any(e)}
+            scale = max(map(abs, terms.values()), default=0.0) or 1.0
+            gens.append(MultiPoly(tvars, {e: c / scale for e, c in terms.items()}, COMPLEX))
     if any(not any(e) for g in gens for e in g.terms):
         return 0  # a unit in the ideal: empty local algebra
+
+    def monomials_upto(degree):
+        # degree by degree, each in ascending lexicographic order
+        return [e for d in range(degree + 1) for e in reversed(monomial_exponents(nvars, d))]
+
+    zero = Fraction(0) if exact else 0j
     prev = 1
     for cap in range(1, MACAULAY_DEGREE_CAP + 1):
-        monos = _monomials_upto(nvars, cap)
+        monos = monomials_upto(cap)
         index = {e: i for i, e in enumerate(monos)}
         rows = []
-        for gi, g in enumerate(gens):
+        for g in gens:
             if not g.terms:
                 continue
             mindeg = min(sum(e) for e in g.terms)
-            for gamma in _monomials_upto(nvars, max(0, cap - mindeg)):
-                if exact:
-                    row = [Fraction(0)] * len(monos)
-                    nonzero = False
-                    for e, c in g.terms.items():
-                        ne = tuple(a + b for a, b in zip(e, gamma))
-                        if sum(ne) <= cap:
-                            row[index[ne]] = c
-                            nonzero = True
-                    if nonzero:
-                        rows.append(row)
-                else:
-                    row = np.zeros(len(monos), dtype=complex)
-                    nonzero = False
-                    for e, c in g.terms.items():
-                        ne = tuple(a + b for a, b in zip(e, gamma))
-                        if sum(ne) <= cap:
-                            row[index[ne]] = complex(c) / scales[gi]
-                            nonzero = True
-                    if nonzero:
-                        rows.append(row)
+            for gamma in monomials_upto(max(0, cap - mindeg)):
+                # the shifted generator gamma * g, truncated at degree cap
+                shifted = {}
+                for e, c in g.terms.items():
+                    ne = tuple(a + b for a, b in zip(e, gamma))
+                    if sum(ne) <= cap:
+                        shifted[index[ne]] = c
+                if shifted:
+                    row = [zero] * len(monos)
+                    for col, c in shifted.items():
+                        row[col] = c
+                    rows.append(row)
         if not rows:
             rank = 0
         elif exact:
@@ -630,5 +584,7 @@ def local_multiplicity(spec: PencilSpec, at):
     tvars = tuple(f"t{i + 1}" for i in range(spec.k))
     # complex parameters make the member a complex matrix
     shifted = spec.member(point if exact else [complex(z) for z in point])
-    gens = maximal_minors(pencil_matrix_poly(shifted, spec.basis, tvars))
+    domain = join_domains(shifted.domain, data)
+    grids = [L.entries for L in spec.basis]
+    gens = maximal_minors(linear_forms(grids, tvars, domain, shifted.entries))
     return macaulay_multiplicity(gens, exact=exact)

@@ -279,6 +279,39 @@ def corank(M: RectMatrix) -> int:
     return M.rows - M.rank()
 
 
+def linear_forms(grids, variables, domain: Domain, constant=None) -> PolyMatrix:
+    """The matrix of affine forms ``constant + sum_i variables[i] * grids[i]``
+    over ``domain``: entry (r, c) is ``constant[r][c] + sum_i
+    variables[i] * grids[i][r][c]``.
+
+    ``grids`` and ``constant`` are nested lists of scalars of one shape; there
+    may be fewer grids than variables, and ``constant=None`` means no constant
+    terms.  Zero coefficients are dropped.
+    """
+    variables = tuple(variables)
+    nvars = len(variables)
+    if len(grids) > nvars:
+        raise UsageError(f"{len(grids)} grids for {nvars} variables")
+    exps = [tuple(int(s == t) for t in range(nvars)) for s in range(len(grids))]
+    layers = list(grids)
+    if constant is not None:
+        exps, layers = [(0,) * nvars, *exps], [constant, *layers]
+    if not layers:
+        raise UsageError("linear_forms needs a grid or a constant")
+    # the term dict of every entry, filled layer by layer
+    terms = [[{} for _ in row] for row in layers[0]]
+    for exp, grid in zip(exps, layers):
+        for term_row, grid_row in zip(terms, grid):
+            for t, v in zip(term_row, grid_row):
+                if v:
+                    t[exp] = v
+    # MultiPoly is immutable, so every zero entry can be one object
+    zero = MultiPoly.zero(variables, domain)
+    return PolyMatrix(
+        [[MultiPoly(variables, t, domain) if t else zero for t in row] for row in terms]
+    )
+
+
 def maximal_minors(M):
     """All maximal minors, column subsets in lexicographic order, from one
     Laplace expansion (:func:`sym_det` with ``columns``).
@@ -293,7 +326,7 @@ def maximal_minors(M):
     subsets = combinations(range(n), m)
     if isinstance(M, PolyMatrix):
         return sym_det(M, columns=subsets)
-    constant = PolyMatrix([[MultiPoly.constant((), v, M.domain) for v in row] for row in M.entries])
+    constant = linear_forms([], (), M.domain, M.entries)
     zero = M.domain.zero()
     return [p.terms.get((), zero) for p in sym_det(constant, columns=subsets)]
 
@@ -431,16 +464,10 @@ def _require_independent(basis):
 
 def kappa_rows(grids, variables, domain: Domain):
     """The rows kappa^T L, one per m x n entry grid L, as n linear forms each
-    over ``domain``, with kappa the first m of ``variables``."""
+    over ``domain``, with kappa the first m of ``variables``: the
+    :func:`linear_forms` whose r-th grid stacks row r of every L."""
     m = len(grids[0])
-    units = [tuple(int(r == s) for s in range(len(variables))) for r in range(m)]
-    return [
-        [
-            MultiPoly(variables, {units[r]: grid[r][j] for r in range(m) if grid[r][j]}, domain)
-            for j in range(len(grid[0]))
-        ]
-        for grid in grids
-    ]
+    return linear_forms([[g[r] for g in grids] for r in range(m)], variables, domain).entries
 
 
 def _as_exact(value):

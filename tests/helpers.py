@@ -113,7 +113,7 @@ def lambda_multiset(eigenvalues, digits=7):
     out = []
     for e in eigenvalues:
         item = tuple((z.real, z.imag) for z in e.lambdas)
-        out.extend([item] * (e.multiplicity or 1))
+        out.extend([item] * e.multiplicity)
     return sorted(
         out,
         key=lambda it: tuple((round(r, digits), round(i, digits)) for r, i in it),

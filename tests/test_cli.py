@@ -167,6 +167,14 @@ def test_one_locus_solve_per_command(matrix_file, monkeypatch, command):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["eigenvalues", "heine", "discriminant23", "multiplicity"])
+def test_negative_seed_exits_two(matrix_file, command):
+    code, out, err = run_cli([command, "--matrix", matrix_file, "--seed", "-1"])
+    assert code == EXIT_USAGE
+    assert json.loads(out)["status"] == "usage-error"
+    assert "seed" in err
+
+
 def test_transversality_command():
     code, out, _ = run_cli(["transversality", "--basis", "diagonal", "--m", "2", "--n", "3"])
     assert code == EXIT_OK

@@ -37,6 +37,23 @@ from helpers import kappa_rows, make_gen, rand_fraction, rand_rational_matrix
 SIZES = [(2, 2), (3, 3), (4, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5), (4, 7), (5, 8)]
 
 
+@pytest.mark.parametrize("i", range(1, 6))
+def test_build_T_is_the_diagonal_pencil(i):
+    # T(i,d) = k_1 J_1 + ... + k_i J_i on the d x (i+d-1) diagonal basis
+    kvars = kappa_variables(i)
+    ks = [MultiPoly.variable(kvars, v) for v in kvars]
+    for d in range(1, 6):
+        basis = standard_diagonal_basis(d, i + d - 1)
+        pencil = [
+            [
+                sum((k * J.entries[r][c] for k, J in zip(ks, basis)), MultiPoly.zero(kvars))
+                for c in range(i + d - 1)
+            ]
+            for r in range(d)
+        ]
+        assert build_T(i, d) == PolyMatrix(pencil)
+
+
 def test_build_T_shapes():
     T = build_T(1, 3)
     k1 = MultiPoly.variable(("k1",), "k1")

@@ -66,6 +66,13 @@ def test_newton_requires_square_system():
         newton_system([x], SolverConfig(seed=1, starts=4))
 
 
+@pytest.mark.parametrize("knobs", [{"seed": -1}, {"starts": 0}])
+def test_solver_config_rejects_bad_knobs(knobs):
+    # numpy's seeding rejects a negative seed with a bare ValueError
+    with pytest.raises(UsageError):
+        SolverConfig(**knobs)
+
+
 def test_solve_matches_resultant_oracle():
     from rectpencil import resultant_univariate
 

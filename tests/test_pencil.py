@@ -30,8 +30,7 @@ from rectpencil import (
     unit_diagonal_matrix,
 )
 from rectpencil.critical import build_T, kappa_variables
-from rectpencil.locus import pencil_matrix_poly
-from rectpencil.pencil import minor_coefficient_matrix, row_echelon
+from rectpencil.pencil import linear_forms, minor_coefficient_matrix, row_echelon
 from rectpencil.polycore import _det_bareiss
 
 from helpers import (
@@ -201,11 +200,11 @@ def _locus_style_pencils(gen, domain):
 
         base = RectMatrix([[scalar() for _ in range(n)] for _ in range(m)], domain)
         lvars = tuple(f"l{i + 1}" for i in range(k))
-        yield m, n, pencil_matrix_poly(base, standard_diagonal_basis(m, n, domain), lvars)
+        diagonal = standard_diagonal_basis(m, n, domain)
+        yield m, n, linear_forms([L.entries for L in diagonal], lvars, domain, base.entries)
         if n <= 5:
-            dense = [RectMatrix([[scalar() for _ in range(n)] for _ in range(m)], domain)
-                     for _ in range(k)]
-            yield m, n, pencil_matrix_poly(base, dense, lvars)
+            dense = [[[scalar() for _ in range(n)] for _ in range(m)] for _ in range(k)]
+            yield m, n, linear_forms(dense, lvars, domain, base.entries)
 
 
 @pytest.mark.parametrize("domain", [COMPLEX, RATIONAL, GAUSSIAN], ids=lambda d: d.tag)
@@ -236,6 +235,55 @@ def test_scalar_maximal_minors_match_elimination(domain):
             M = RectMatrix(entries, domain)
             subsets = combinations(range(n), m)
             assert maximal_minors(M) == [M.submatrix(range(m), cols).det() for cols in subsets]
+
+
+def test_linear_forms_layout():
+    variables = ("x", "y", "z")
+    x, y = (MultiPoly.variable(variables, v) for v in "xy")
+    zero = MultiPoly.zero(variables)
+    constant = [[1, 0], [Fraction(1, 2), 3]]
+    # two grids for three variables: z appears nowhere
+    grids = [[[2, 0], [0, -1]], [[0, 0], [5, Fraction(1, 3)]]]
+    M = linear_forms(grids, variables, RATIONAL, constant)
+    assert M.variables == variables and M.domain is RATIONAL
+    assert M == PolyMatrix([[x * 2 + 1, zero], [y * 5 + Fraction(1, 2), y * Fraction(1, 3) - x + 3]])
+    # zero coefficients are dropped, not stored
+    assert M.entries[0][1].terms == {}
+    assert set(M.entries[0][0].terms) == {(0, 0, 0), (1, 0, 0)}
+    # no constant: the grids alone
+    linear = linear_forms(grids, variables, RATIONAL)
+    assert linear == PolyMatrix([[x * 2, zero], [y * 5, y * Fraction(1, 3) - x]])
+    assert linear_forms([], variables, RATIONAL, constant).entries[1][0].terms == {
+        (0, 0, 0): Fraction(1, 2)
+    }
+    with pytest.raises(UsageError):
+        linear_forms(grids * 2, variables, RATIONAL)
+    with pytest.raises(UsageError):
+        linear_forms([], variables, RATIONAL)
+
+
+@pytest.mark.parametrize("domain", [RATIONAL, GAUSSIAN], ids=lambda d: d.tag)
+def test_linear_forms_complex_terms_match_converted_exact_build(domain):
+    # building straight into COMPLEX rounds every term as an exact build
+    # converted with with_domain(COMPLEX) does, bit for bit and in term order
+    gen = make_gen(67)
+    lvars = ("l1", "l2", "l3")
+
+    def grid():
+        entries = [[rand_fraction(gen, maxden=99) for _ in range(5)] for _ in range(3)]
+        entries[1][2] = 0
+        if domain is GAUSSIAN:
+            entries[0] = [GaussianRational(v, rand_fraction(gen)) for v in entries[0]]
+        return entries
+
+    for ngrids in (1, 3):
+        constant, grids = grid(), [grid() for _ in range(ngrids)]
+        exact = linear_forms(grids, lvars, domain, constant)
+        direct = linear_forms(grids, lvars, COMPLEX, constant)
+        assert direct.domain is COMPLEX
+        for exact_row, direct_row in zip(exact.entries, direct.entries):
+            for p, q in zip(exact_row, direct_row):
+                assert list(q.terms.items()) == list(p.with_domain(COMPLEX).terms.items())
 
 
 def test_minors_on_column_sets_reject_bad_sets():
