@@ -7,7 +7,8 @@ Library layout:
 - :mod:`rectpencil.pencil` — rectangular matrices, the diagonal shift
   subspace, coranks, maximal minors, the chart map, transversality.
 - :mod:`rectpencil.critical` — critical-set polynomials (direct determinant
-  and the column-subset expansion) and the banded minor basis.
+  and the column-subset expansion) and the change of basis from the minors
+  of the banded matrix T(i, d) to the monomials.
 - :mod:`rectpencil.heine` — Heine branches of upper-triangular pencils,
   each solved as the locus of a trailing block, and their branch systems.
 - :mod:`rectpencil.locus` — numeric locus solver and local multiplicities.
@@ -43,11 +44,9 @@ from .pencil import (
 )
 from .critical import (
     CriticalPolynomial,
-    MinorBasis,
     basis_change_matrix,
     build_T,
     critical_det_poly,
-    minor_basis,
     sds_poly,
 )
 from .heine import (
@@ -61,7 +60,6 @@ from .locus import (
     Eigenvalue,
     SolverConfig,
     local_multiplicity,
-    newton_system,
     solve_eigenvalue_locus,
 )
 from .disc23 import (
@@ -102,11 +100,9 @@ __all__ = [
     "transversality_check",
     "unit_diagonal_matrix",
     "CriticalPolynomial",
-    "MinorBasis",
     "basis_change_matrix",
     "build_T",
     "critical_det_poly",
-    "minor_basis",
     "sds_poly",
     "BranchSystem",
     "build_branch_systems",
@@ -116,7 +112,6 @@ __all__ = [
     "Eigenvalue",
     "SolverConfig",
     "local_multiplicity",
-    "newton_system",
     "solve_eigenvalue_locus",
     "critical_equation",
     "d0_value",

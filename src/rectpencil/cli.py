@@ -95,6 +95,8 @@ def _load_basis(arg: str, m: int, n: int, domain) -> list:
 
 
 def _solver_config(args) -> locus.SolverConfig:
+    # built first in every solving handler, also on its paths that run no
+    # solver, so a bad --seed or --starts is a usage error wherever it is given
     return locus.SolverConfig(starts=args.starts, seed=args.seed)
 
 
@@ -116,10 +118,11 @@ def _parse_at(text: str, k: int):
 
 
 def _cmd_eigenvalues(args):
+    config = _solver_config(args)
     A = _load_matrix(args.matrix)
     basis = _load_basis(args.basis, A.rows, A.cols, A.domain)
     spec = pencil.PencilSpec(A, basis)
-    eigs = locus.solve_eigenvalue_locus(spec, _solver_config(args))
+    eigs = locus.solve_eigenvalue_locus(spec, config)
     payload = {
         "status": "ok",
         "m": spec.m,
@@ -132,6 +135,7 @@ def _cmd_eigenvalues(args):
 
 
 def _cmd_heine(args):
+    config = _solver_config(args)
     A = _load_matrix(args.matrix)
     systems = heine.build_branch_systems(A)
     total, per_branch = heine.heine_count(A.rows, A.cols)
@@ -157,27 +161,18 @@ def _cmd_heine(args):
         "branches": branches,
     }
     if not args.systems_only:
-        eigs = heine.heine_solve(A, config=_solver_config(args))
+        eigs = heine.heine_solve(A, config=config)
         payload["eigenvalues"] = [e.as_dict() for e in eigs]
         payload["total_multiplicity"] = sum(e.multiplicity for e in eigs)
     return payload, None
-
-
-def _symbolic_ahat(m: int, n: int):
-    return symbolic_matrix(m - 1, n, prefix="a")
 
 
 def _cmd_critical_poly(args):
     m, n = args.m, args.n
     if m > n:
         raise UsageError(f"need m <= n, got {m}x{n}")
-    if args.ahat:
-        ahat = _load_matrix(args.ahat)
-        domain = ahat.domain
-    else:
-        ahat = _symbolic_ahat(m, n)
-        domain = None
-    basis = _load_basis(args.basis, m, n, domain or RATIONAL)
+    ahat = _load_matrix(args.ahat) if args.ahat else symbolic_matrix(m - 1, n)
+    basis = _load_basis(args.basis, m, n, ahat.domain)
     result = critical.critical_det_poly(ahat, basis)
     payload = {
         "status": "ok",
@@ -193,7 +188,7 @@ def _cmd_sds_poly(args):
     m, n = args.m, args.n
     if m > n:
         raise UsageError(f"need m <= n, got {m}x{n}")
-    ahat = _load_matrix(args.ahat) if args.ahat else _symbolic_ahat(m, n)
+    ahat = _load_matrix(args.ahat) if args.ahat else symbolic_matrix(m - 1, n)
     result = critical.sds_poly(ahat, m, n)
     payload = {
         "status": "ok",
@@ -220,6 +215,7 @@ def _cmd_basis_check(args):
 
 
 def _cmd_discriminant23(args):
+    config = _solver_config(args)
     if args.symbolic:
         d0 = disc23.discriminant_D0()
         payload = {"status": "ok", "D0": d0.to_text()}
@@ -229,8 +225,7 @@ def _cmd_discriminant23(args):
     A = _load_matrix(args.matrix)
     value = disc23.d0_value(A)
     eigs = locus.solve_eigenvalue_locus(
-        pencil.PencilSpec(A, pencil.standard_diagonal_basis(2, 3, A.domain)),
-        _solver_config(args),
+        pencil.PencilSpec(A, pencil.standard_diagonal_basis(2, 3, A.domain)), config
     )
     multiple = disc23.has_multiple_eigenvalue(eigs)
     payload = {
@@ -255,6 +250,7 @@ def _cmd_transversality(args):
 
 
 def _cmd_multiplicity(args):
+    config = _solver_config(args)
     A = _load_matrix(args.matrix)
     basis = _load_basis(args.basis, A.rows, A.cols, A.domain)
     spec = pencil.PencilSpec(A, basis)
@@ -266,7 +262,7 @@ def _cmd_multiplicity(args):
             "multiplicity": "unknown" if mult is None else mult,
         }
         return payload, None
-    eigs = locus.solve_eigenvalue_locus(spec, _solver_config(args))
+    eigs = locus.solve_eigenvalue_locus(spec, config)
     payload = {
         "status": "ok",
         "eigenvalues": [e.as_dict() for e in eigs],

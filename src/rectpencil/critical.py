@@ -4,7 +4,10 @@ Two independent constructions are provided: the direct determinant of the
 stacked matrix [ahat; kappa*L_1; ...; kappa*L_{n-m+1}], and, for the standard
 diagonal subspace, the Pluecker-coefficient expansion over column subsets.
 They agree exactly (the expansion carries the global sign (-1)^(m(m-1)/2) so
-that the two polynomials are literally equal, not merely proportional).
+that the two polynomials are literally equal, not merely proportional).  Both
+take the top block ahat, numeric or symbolic, as one matrix of polynomials
+over the joint variables k_1..k_m and then ahat's own symbols: a numeric
+block is a matrix of constants.
 
 Also provides the banded matrix T_{i,d}, the diagonal pencil
 k_1 J_1 + ... + k_i J_i on the d x (i+d-1) shifted-diagonal basis, whose
@@ -20,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from .errors import IdentityViolation, UsageError
 from .pencil import (
@@ -63,19 +64,6 @@ class CriticalPolynomial:
                 f"{self.n - self.m + 1} in {kvars}: degrees {sorted(degs)}"
             )
 
-    @property
-    def kvars(self):
-        return kappa_variables(self.m)
-
-
-@dataclass(frozen=True)
-class MinorBasis:
-    """Maximal minors of T_{i,d}: a basis of degree-d forms in k_1..k_i."""
-
-    i: int
-    d: int
-    polys: tuple
-
 
 def build_T(i: int, d: int, domain: Domain = RATIONAL) -> PolyMatrix:
     """Banded d x (i+d-1) matrix with entry k_{q-p+1} on shifted diagonals:
@@ -88,29 +76,18 @@ def build_T(i: int, d: int, domain: Domain = RATIONAL) -> PolyMatrix:
     return linear_forms(grids, kappa_variables(i), domain)
 
 
-def _ahat_rows_as_polys(ahat, variables, domain):
-    """Lift the (m-1) x n top block onto the joint variable list."""
-    if isinstance(ahat, PolyMatrix):
-        return [
-            [entry.with_variables(variables).with_domain(domain) for entry in row]
-            for row in ahat.entries
-        ]
-    return linear_forms([], variables, domain, ahat.entries).entries
-
-
-def _joint_setup(ahat, m: int):
+def _top_block(ahat, m: int) -> PolyMatrix:
+    """The (m-1) x n top block over the joint variables: k_1..k_m, then the
+    block's own symbols.  A numeric block becomes a matrix of constants."""
     kvars = kappa_variables(m)
-    if isinstance(ahat, PolyMatrix):
-        if set(kvars) & set(ahat.variables):
-            raise UsageError("symbolic top-block variables collide with k_1..k_m")
-        variables = kvars + ahat.variables
-        domain = ahat.domain
-    elif isinstance(ahat, RectMatrix):
-        variables = kvars
-        domain = ahat.domain
-    else:
+    if isinstance(ahat, RectMatrix):
+        return linear_forms([], kvars, ahat.domain, ahat.entries)
+    if not isinstance(ahat, PolyMatrix):
         raise UsageError("ahat must be a RectMatrix or a symbolic PolyMatrix")
-    return variables, domain
+    if set(kvars) & set(ahat.variables):
+        raise UsageError("symbolic top-block variables collide with k_1..k_m")
+    variables = kvars + ahat.variables
+    return PolyMatrix([[entry.with_variables(variables) for entry in row] for row in ahat.entries])
 
 
 def critical_det_poly(ahat, basis) -> CriticalPolynomial:
@@ -122,50 +99,42 @@ def critical_det_poly(ahat, basis) -> CriticalPolynomial:
     m, n = basis[0].rows, basis[0].cols
     if len(basis) != n - m + 1:
         raise UsageError(f"expected {n - m + 1} basis matrices, got {len(basis)}")
-    if (ahat.rows, ahat.cols) != (m - 1, n):
+    top = _top_block(ahat, m)
+    if (top.rows, top.cols) != (m - 1, n):
         raise UsageError(
             f"ahat must be {(m - 1, n)} to match the {m}x{n} basis, "
-            f"got {(ahat.rows, ahat.cols)}"
+            f"got {(top.rows, top.cols)}"
         )
-    variables, domain = _joint_setup(ahat, m)
-    domain = join_domains(domain, *[L.domain for L in basis])
+    domain = join_domains(top.domain, *[L.domain for L in basis])
     grid = [
-        *_ahat_rows_as_polys(ahat, variables, domain),
-        *kappa_rows([L.entries for L in basis], variables, domain),
+        *([entry.with_domain(domain) for entry in row] for row in top.entries),
+        *kappa_rows([L.entries for L in basis], top.variables, domain),
     ]
     det = sym_det(PolyMatrix(grid))
     return CriticalPolynomial(m, n, det)
 
 
-def sds_poly(ahat, m: int | None = None, n: int | None = None) -> CriticalPolynomial:
+def sds_poly(ahat, m: int, n: int) -> CriticalPolynomial:
     """Column-subset expansion for the standard diagonal subspace.
 
     Sum over (m-1)-subsets beta of the columns of the product of the top-block
     minor on beta and the T_{m,n-m+1} minor on the complement, signed by the
     subset sum, times the global factor (-1)^(m(m-1)/2)."""
-    if m is None:
-        m = ahat.rows + 1
-    if n is None:
-        n = ahat.cols
-    if (ahat.rows, ahat.cols) != (m - 1, n):
+    top = _top_block(ahat, m)
+    if (top.rows, top.cols) != (m - 1, n):
         raise UsageError(
-            f"ahat must be {(m - 1, n)}, got {(ahat.rows, ahat.cols)}"
+            f"ahat must be {(m - 1, n)}, got {(top.rows, top.cols)}"
         )
     if m > n:
         raise UsageError(f"need m <= n, got {m}x{n}")
-    variables, domain = _joint_setup(ahat, m)
-    numeric = isinstance(ahat, RectMatrix)
+    variables, domain = top.variables, top.domain
     # complements of the (m-1)-subsets, in lexicographic order, are the
     # (n-m+1)-subsets in reverse lexicographic order
     t_minors = maximal_minors(build_T(m, n - m + 1))[::-1]
     total = MultiPoly.zero(variables, domain)
-    for beta, top, t_minor in zip(combinations(range(n), m - 1), maximal_minors(ahat), t_minors):
-        if numeric:
-            top_poly = MultiPoly.constant(variables, top, domain)
-        else:
-            top_poly = top.with_variables(variables)
+    for beta, minor, t_minor in zip(combinations(range(n), m - 1), maximal_minors(top), t_minors):
         rho = sum(beta) + len(beta)  # 1-based column indices
-        term = top_poly * t_minor.with_variables(variables).with_domain(domain)
+        term = minor * t_minor.with_variables(variables).with_domain(domain)
         total = total - term if rho % 2 else total + term
     if (m * (m - 1) // 2) % 2:
         total = -total
@@ -181,48 +150,4 @@ def basis_change_matrix(i: int, d: int) -> RectMatrix:
         raise IdentityViolation(
             f"T-minors of ({i},{d}) are linearly dependent; this must never happen"
         )
-    return out
-
-
-def minor_basis(i: int, d: int) -> MinorBasis:
-    """All maximal minors of T_{i,d}, verified linearly independent."""
-    basis_change_matrix(i, d)  # raises IdentityViolation if dependent
-    return MinorBasis(i, d, tuple(maximal_minors(build_T(i, d))))
-
-
-def tangent_stack_matrix(ahat: RectMatrix, kernel_coeffs, basis) -> np.ndarray:
-    """Numeric (mn x mn) wedge matrix of the rank-one tangent generators and
-    the subspace basis at a chart point; singular exactly on the critical set.
-
-    Row blocks: for each of the first m-1 matrix rows, the n column-mixing
-    generators; then the m-1 row-addition generators; then the flattened basis
-    matrices.  Columns index matrix entries row-major.
-    """
-    basis = list(basis)
-    m, n = basis[0].rows, basis[0].cols
-    if (ahat.rows, ahat.cols) != (m - 1, n):
-        raise UsageError("ahat dimensions do not match the basis")
-    kernel_coeffs = [complex(c) for c in kernel_coeffs]
-    if len(kernel_coeffs) != m - 1:
-        raise UsageError(f"expected {m - 1} kernel coefficients")
-    a = ahat.to_numpy()
-    last = -sum(kernel_coeffs[j] * a[j] for j in range(m - 1)) if m > 1 else None
-    size = m * n
-    rows = []
-    for p in range(m - 1):
-        block = np.zeros((n, size), dtype=complex)
-        for q in range(m - 1):
-            block[:, q * n : (q + 1) * n] = a[q, p] * np.eye(n)
-        block[:, (m - 1) * n :] = last[p] * np.eye(n)
-        rows.append(block)
-    row_block = np.zeros((m - 1, size), dtype=complex)
-    row_block[:, (m - 1) * n :] = a
-    rows.append(row_block)
-    basis_block = np.zeros((len(basis), size), dtype=complex)
-    for r, L in enumerate(basis):
-        basis_block[r] = L.to_numpy().reshape(-1)
-    rows.append(basis_block)
-    out = np.vstack(rows)
-    if out.shape != (size, size):
-        raise IdentityViolation(f"tangent stack is {out.shape}, expected {(size, size)}")
     return out

@@ -8,6 +8,10 @@ closed form of D0 (22 monomials, quadratic in a13) whose discriminant in a13
 is a perfect cube up to a constant.  The a13 hyperplane factor is an artifact
 of the chart (the kernel substitution divides by a13); the discriminant of the
 pencil is the D0 part alone.
+
+Every object here is symbolic in the six entries a11..a23; its value at a
+numeric matrix A (:func:`eigen_equations` with ``a``, :func:`d0_value`) is
+that object evaluated at the entries of A.
 """
 
 from __future__ import annotations
@@ -66,45 +70,33 @@ def _sym(name: str, variables=None) -> MultiPoly:
     return MultiPoly.variable(variables or AVARS, name)
 
 
-def _entry_lookup(a: RectMatrix | None, variables):
-    """Entry polynomials over ``variables``: symbols or embedded constants."""
-    out = {}
-    for i in range(2):
-        for j in range(3):
-            name = f"a{i + 1}{j + 1}"
-            if a is None:
-                out[name] = MultiPoly.variable(variables, name)
-            else:
-                out[name] = MultiPoly.constant(variables, a.entries[i][j], a.domain)
-    return out
+def _point(a: RectMatrix) -> dict:
+    """The entries of a 2x3 matrix as an assignment to ``AVARS``."""
+    _check_shape(a)
+    return dict(zip(AVARS, a.flatten()))
 
 
 def eigen_equations(a: RectMatrix | None = None):
-    """Vanishing minors on columns {2,3} and {1,3} of A - l1*J1 - l2*J2.
+    """Vanishing minors on columns {2,3} and {1,3} of A - l1*J1 - l2*J2, in
+    (l1, l2) and the entries of A, or in (l1, l2) alone at a matrix ``a``.
 
     Bidegrees in (l1, l2) are (1, 2) and (1, 1)."""
-    if a is not None:
-        _check_shape(a)
-    variables = LVARS if a is not None else LVARS + AVARS
-    e = _entry_lookup(a, variables)
-    l1 = MultiPoly.variable(variables, "l1", e["a11"].domain)
-    l2 = MultiPoly.variable(variables, "l2", e["a11"].domain)
-    minor23 = (e["a12"] - l2) * (e["a23"] - l2) - e["a13"] * (e["a22"] - l1)
-    minor13 = (e["a11"] - l1) * (e["a23"] - l2) - e["a13"] * e["a21"]
-    return minor23, minor13
+    a11, a12, a13, a21, a22, a23 = (_sym(v, LVARS + AVARS) for v in AVARS)
+    l1, l2 = (_sym(v, LVARS + AVARS) for v in LVARS)
+    minor23 = (a12 - l2) * (a23 - l2) - a13 * (a22 - l1)
+    minor13 = (a11 - l1) * (a23 - l2) - a13 * a21
+    if a is None:
+        return minor23, minor13
+    point = _point(a)
+    return minor23.eval(point), minor13.eval(point)
 
 
-def critical_equation(a: RectMatrix | None = None) -> MultiPoly:
+def critical_equation() -> MultiPoly:
     """Third equation on the critical chart, after eliminating the kernel
     coordinate kappa = (a23 - l2) / a13; taken term by term from its closed
     form."""
-    if a is not None:
-        _check_shape(a)
-    variables = LVARS if a is not None else LVARS + AVARS
-    e = _entry_lookup(a, variables)
-    l1 = MultiPoly.variable(variables, "l1", e["a11"].domain)
-    l2 = MultiPoly.variable(variables, "l2", e["a11"].domain)
-    a11, a12, a13, a23 = e["a11"], e["a12"], e["a13"], e["a23"]
+    a11, a12, a13, a23 = (_sym(v, LVARS + AVARS) for v in ("a11", "a12", "a13", "a23"))
+    l1, l2 = (_sym(v, LVARS + AVARS) for v in LVARS)
     return (
         a13 * a13 * a11
         - a13 * a13 * l1
@@ -148,21 +140,10 @@ def _symbolic_elimination():
     return matrix, sym_det(matrix)
 
 
-def elimination_matrix(a: RectMatrix | None = None):
+def elimination_matrix():
     """The 8x8 elimination matrix over the monomial coordinates
     ``ELIMINATION_MONOMIALS`` and its determinant D."""
-    matrix, det = _symbolic_elimination()
-    if a is None:
-        return matrix, det
-    _check_shape(a)
-    point = {
-        f"a{i + 1}{j + 1}": a.entries[i][j] for i in range(2) for j in range(3)
-    }
-    grid = [
-        [MultiPoly.constant((), p.eval(point), a.domain) for p in row]
-        for row in matrix.entries
-    ]
-    return PolyMatrix(grid), MultiPoly.constant((), det.eval(point), a.domain)
+    return _symbolic_elimination()
 
 
 @lru_cache(maxsize=None)
@@ -194,26 +175,15 @@ def _symbolic_d0() -> MultiPoly:
     return d0
 
 
-def discriminant_D0(a: RectMatrix | None = None) -> MultiPoly:
+def discriminant_D0() -> MultiPoly:
     """The discriminant polynomial D0 with D = -a13^6 * D0, verified against
     its closed form term by term."""
-    d0 = _symbolic_d0()
-    if a is None:
-        return d0
-    _check_shape(a)
-    point = {
-        f"a{i + 1}{j + 1}": a.entries[i][j] for i in range(2) for j in range(3)
-    }
-    return MultiPoly.constant((), d0.eval(point), a.domain)
+    return _symbolic_d0()
 
 
 def d0_value(a: RectMatrix):
     """Scalar value of D0 at a numeric matrix."""
-    _check_shape(a)
-    point = {
-        f"a{i + 1}{j + 1}": a.entries[i][j] for i in range(2) for j in range(3)
-    }
-    return _symbolic_d0().eval(point)
+    return _symbolic_d0().eval(_point(a))
 
 
 def w_polynomial() -> MultiPoly:

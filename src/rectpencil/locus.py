@@ -483,9 +483,10 @@ def _translate(poly: MultiPoly, point, tvars):
     return total
 
 
-def macaulay_multiplicity(generators, exact: bool = False):
+def macaulay_multiplicity(generators):
     """Dimension of the local algebra of the ideal at the origin, computed as
-    the stabilized corank of degree-truncated Macaulay matrices.  Returns None
+    the stabilized corank of degree-truncated Macaulay matrices, in exact
+    arithmetic when the generators' joined domain is exact.  Returns None
     when ``MACAULAY_DEGREE_CAP`` is reached without stabilization
     (non-isolated or too deep).
     """
@@ -494,6 +495,7 @@ def macaulay_multiplicity(generators, exact: bool = False):
         return None
     tvars = generators[0].variables
     nvars = len(tvars)
+    exact = join_domains(*(g.domain for g in generators)).is_exact
     if exact:
         gens = generators
     else:
@@ -560,9 +562,8 @@ def system_local_multiplicity(equations, point):
     tvars = tuple(f"t{i + 1}" for i in range(len(equations[0].variables)))
     if len(point) != len(tvars):
         raise UsageError("point dimension does not match the system variables")
-    exact = domain_of(point, join_domains(*(e.domain for e in equations))).is_exact
     gens = [_translate(e, point, tvars) for e in equations]
-    return macaulay_multiplicity(gens, exact=exact)
+    return macaulay_multiplicity(gens)
 
 
 def local_multiplicity(spec: PencilSpec, at):
@@ -587,4 +588,4 @@ def local_multiplicity(spec: PencilSpec, at):
     domain = join_domains(shifted.domain, data)
     grids = [L.entries for L in spec.basis]
     gens = maximal_minors(linear_forms(grids, tvars, domain, shifted.entries))
-    return macaulay_multiplicity(gens, exact=exact)
+    return macaulay_multiplicity(gens)

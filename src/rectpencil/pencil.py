@@ -67,11 +67,6 @@ class RectMatrix:
             raise UsageError(f"entry ({i},{j}) out of bounds for {self.rows}x{self.cols}")
         return self.entries[i][j]
 
-    def row(self, i: int):
-        if not 0 <= i < self.rows:
-            raise UsageError(f"row {i} out of bounds")
-        return self.entries[i]
-
     def submatrix(self, row_indices, col_indices) -> "RectMatrix":
         return RectMatrix(
             [[self.entry(i, j) for j in col_indices] for i in row_indices],

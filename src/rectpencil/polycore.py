@@ -819,12 +819,11 @@ class PolyMatrix:
         )
 
 
-def symbolic_matrix(rows: int, cols: int, prefix: str = "a",
-                    domain: Domain = RATIONAL) -> PolyMatrix:
-    """Matrix of fresh symbols ``{prefix}{i}{j}`` with 1-based indices."""
-    names = tuple(f"{prefix}{i + 1}{j + 1}" for i in range(rows) for j in range(cols))
+def symbolic_matrix(rows: int, cols: int) -> PolyMatrix:
+    """Rational matrix of fresh symbols ``a{i}{j}`` with 1-based indices."""
+    names = tuple(f"a{i + 1}{j + 1}" for i in range(rows) for j in range(cols))
     grid = [
-        [MultiPoly.variable(names, f"{prefix}{i + 1}{j + 1}", domain) for j in range(cols)]
+        [MultiPoly.variable(names, f"a{i + 1}{j + 1}") for j in range(cols)]
         for i in range(rows)
     ]
     return PolyMatrix(grid)
@@ -943,34 +942,6 @@ def _det_laplace(M: PolyMatrix, columns) -> list:
         })
         for t in targets
     ]
-
-
-def _det_bareiss(M: PolyMatrix) -> MultiPoly:
-    """Fraction-free elimination with exact divisions (exact domains only):
-    the reference :func:`sym_det` is tested against."""
-    if not M.domain.is_exact:
-        raise UsageError("bareiss determinant requires an exact domain")
-    n = M.rows
-    zero = MultiPoly.zero(M.variables, M.domain)
-    one = MultiPoly.constant(M.variables, 1, M.domain)
-    B = [list(row) for row in M.entries]
-    sign = 1
-    prev = one
-    for c in range(n - 1):
-        pivot_row = next((r for r in range(c, n) if not B[r][c].is_zero), None)
-        if pivot_row is None:
-            return zero
-        if pivot_row != c:
-            B[c], B[pivot_row] = B[pivot_row], B[c]
-            sign = -sign
-        pivot = B[c][c]
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                B[i][j] = (pivot * B[i][j] - B[i][c] * B[c][j]).exact_div(prev)
-            B[i][c] = zero
-        prev = pivot
-    det = B[n - 1][n - 1]
-    return det if sign > 0 else -det
 
 
 def resultant_univariate(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:

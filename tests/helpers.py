@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded random exact data and multiset comparisons."""
+"""Shared test utilities: seeded random exact data, multiset comparisons, and
+the reference constructions the library is tested against."""
 
 from fractions import Fraction
 
@@ -6,11 +7,13 @@ import numpy as np
 
 from rectpencil import (
     COMPLEX,
+    IdentityViolation,
     MultiPoly,
     PolyMatrix,
     RATIONAL,
     RectMatrix,
     ResolutionPoint,
+    UsageError,
     resolution_nu,
     standard_diagonal_basis,
     unit_diagonal_matrix,
@@ -150,3 +153,69 @@ def construct_multiple_eigenvalue_matrix(gen):
         complex(rand_fraction(gen))
     ) + unit_diagonal_matrix(2, 3, 2, COMPLEX).scale(complex(rand_fraction(gen)))
     return on_critical + shift
+
+
+def det_bareiss(M: PolyMatrix) -> MultiPoly:
+    """Fraction-free elimination with exact divisions (exact domains only):
+    the reference ``sym_det`` is tested against."""
+    if not M.domain.is_exact:
+        raise UsageError("bareiss determinant requires an exact domain")
+    n = M.rows
+    zero = MultiPoly.zero(M.variables, M.domain)
+    one = MultiPoly.constant(M.variables, 1, M.domain)
+    B = [list(row) for row in M.entries]
+    sign = 1
+    prev = one
+    for c in range(n - 1):
+        pivot_row = next((r for r in range(c, n) if not B[r][c].is_zero), None)
+        if pivot_row is None:
+            return zero
+        if pivot_row != c:
+            B[c], B[pivot_row] = B[pivot_row], B[c]
+            sign = -sign
+        pivot = B[c][c]
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                B[i][j] = (pivot * B[i][j] - B[i][c] * B[c][j]).exact_div(prev)
+            B[i][c] = zero
+        prev = pivot
+    det = B[n - 1][n - 1]
+    return det if sign > 0 else -det
+
+
+def tangent_stack_matrix(ahat: RectMatrix, kernel_coeffs, basis) -> np.ndarray:
+    """Numeric (mn x mn) wedge matrix of the rank-one tangent generators and
+    the subspace basis at a chart point; singular exactly on the critical set.
+
+    Row blocks: for each of the first m-1 matrix rows, the n column-mixing
+    generators; then the m-1 row-addition generators; then the flattened basis
+    matrices.  Columns index matrix entries row-major.
+    """
+    basis = list(basis)
+    m, n = basis[0].rows, basis[0].cols
+    if (ahat.rows, ahat.cols) != (m - 1, n):
+        raise UsageError("ahat dimensions do not match the basis")
+    kernel_coeffs = [complex(c) for c in kernel_coeffs]
+    if len(kernel_coeffs) != m - 1:
+        raise UsageError(f"expected {m - 1} kernel coefficients")
+    a = ahat.to_numpy()
+    last = -sum(kernel_coeffs[j] * a[j] for j in range(m - 1)) if m > 1 else None
+    size = m * n
+    rows = []
+    for p in range(m - 1):
+        block = np.zeros((n, size), dtype=complex)
+        for q in range(m - 1):
+            block[:, q * n : (q + 1) * n] = a[q, p] * np.eye(n)
+        block[:, (m - 1) * n :] = last[p] * np.eye(n)
+        rows.append(block)
+    row_block = np.zeros((m - 1, size), dtype=complex)
+    row_block[:, (m - 1) * n :] = a
+    rows.append(row_block)
+    basis_block = np.zeros((len(basis), size), dtype=complex)
+    for r, L in enumerate(basis):
+        basis_block[r] = L.to_numpy().reshape(-1)
+    rows.append(basis_block)
+    out = np.vstack(rows)
+    if out.shape != (size, size):
+        raise IdentityViolation(f"tangent stack is {out.shape}, expected {(size, size)}")
+    return out

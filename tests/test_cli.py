@@ -5,6 +5,7 @@ import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -69,7 +70,7 @@ def test_eigenvalues_golden_matches_library(matrix_file):
     )
     assert code == EXIT_OK
     payload = json.loads(out)
-    A = matrix_from_json(json.loads(open(matrix_file).read()))
+    A = matrix_from_json(json.loads(Path(matrix_file).read_text()))
     spec = PencilSpec(A, standard_diagonal_basis(2, 3))
     eigs = solve_eigenvalue_locus(spec, SolverConfig(seed=5))
     expected = [e.as_dict() for e in eigs]
@@ -167,12 +168,31 @@ def test_one_locus_solve_per_command(matrix_file, monkeypatch, command):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("command", ["eigenvalues", "heine", "discriminant23", "multiplicity"])
+# every solving subcommand, and its paths that run no solver
+SOLVING_COMMANDS = [
+    pytest.param(["eigenvalues"], id="eigenvalues"),
+    pytest.param(["heine"], id="heine"),
+    pytest.param(["heine", "--systems-only"], id="heine-systems-only"),
+    pytest.param(["discriminant23"], id="discriminant23"),
+    pytest.param(["multiplicity"], id="multiplicity"),
+    pytest.param(["multiplicity", "--at", '["0","0"]'], id="multiplicity-at"),
+]
+
+
+@pytest.mark.parametrize("command", SOLVING_COMMANDS)
 def test_negative_seed_exits_two(matrix_file, command):
-    code, out, err = run_cli([command, "--matrix", matrix_file, "--seed", "-1"])
+    code, out, err = run_cli([*command, "--matrix", matrix_file, "--seed", "-1"])
     assert code == EXIT_USAGE
     assert json.loads(out)["status"] == "usage-error"
     assert "seed" in err
+
+
+@pytest.mark.parametrize("command", SOLVING_COMMANDS)
+def test_zero_starts_exits_two(matrix_file, command):
+    code, out, err = run_cli([*command, "--matrix", matrix_file, "--starts", "0"])
+    assert code == EXIT_USAGE
+    assert json.loads(out)["status"] == "usage-error"
+    assert "start count" in err
 
 
 def test_transversality_command():

@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from rectpencil import (
+    COMPLEX,
+    GAUSSIAN,
+    RATIONAL,
+    GaussianRational,
     IdentityViolation,
     MultiPoly,
     PolyMatrix,
@@ -17,22 +21,25 @@ from rectpencil import (
     basis_change_matrix,
     build_T,
     critical_det_poly,
-    minor_basis,
+    maximal_minors,
     resolution_nu,
     sds_poly,
     standard_diagonal_basis,
     sym_det,
     symbolic_matrix,
 )
-from rectpencil.critical import (
-    kappa_variables,
-    monomial_exponents,
-    tangent_stack_matrix,
-)
+from rectpencil.critical import kappa_variables, monomial_exponents
 
 from rectpencil.pencil import minor_coefficient_matrix
+from rectpencil.polycore import join_domains
 
-from helpers import kappa_rows, make_gen, rand_fraction, rand_rational_matrix
+from helpers import (
+    kappa_rows,
+    make_gen,
+    rand_fraction,
+    rand_rational_matrix,
+    tangent_stack_matrix,
+)
 
 SIZES = [(2, 2), (3, 3), (4, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5), (4, 7), (5, 8)]
 
@@ -130,6 +137,20 @@ def test_critical_det_poly_dimension_mismatch():
         critical_det_poly(RectMatrix.zeros(2, 3), standard_diagonal_basis(2, 3))
 
 
+def test_top_block_must_be_a_matrix_without_k_symbols():
+    basis = standard_diagonal_basis(2, 3)
+    with pytest.raises(UsageError, match="RectMatrix or a symbolic PolyMatrix"):
+        critical_det_poly([[1, 2, 3]], basis)
+    with pytest.raises(UsageError, match="RectMatrix or a symbolic PolyMatrix"):
+        sds_poly([[1, 2, 3]], 2, 3)
+    k2 = MultiPoly.variable(("k2",), "k2")
+    colliding = PolyMatrix([[k2, k2, k2]])
+    with pytest.raises(UsageError, match="collide"):
+        critical_det_poly(colliding, basis)
+    with pytest.raises(UsageError, match="collide"):
+        sds_poly(colliding, 2, 3)
+
+
 def test_sds_single_surviving_subset():
     # one nonzero entry in the last column leaves a single column subset
     for n in (3, 4, 5):
@@ -146,14 +167,38 @@ def test_sds_single_surviving_subset():
         assert poly == expected or poly == -expected
 
 
-@pytest.mark.parametrize("m,n", SIZES)
-def test_sds_equals_direct_on_random_rational(m, n):
+def _top_block_case(m, n, top, basis=RATIONAL):
+    suffix = "" if top is RATIONAL else f"-{top.tag}"
+    suffix += "" if basis is RATIONAL else f"-{basis.tag}-basis"
+    return pytest.param(m, n, top, basis, id=f"{m}-{n}{suffix}")
+
+
+@pytest.mark.parametrize(
+    "m,n,top,basis_domain",
+    [_top_block_case(m, n, top) for top in (RATIONAL, GAUSSIAN, COMPLEX) for m, n in SIZES]
+    + [_top_block_case(3, 5, RATIONAL, COMPLEX)],
+)
+def test_sds_equals_direct_on_random_rational(m, n, top, basis_domain):
+    # the top block's real parts (and rational blocks) are the same draws in
+    # every domain; Gaussian and complex blocks add a drawn imaginary part
     gen = make_gen(1000 + 10 * m + n)
     for _ in range(5):
         ahat = rand_rational_matrix(gen, m - 1, n)
-        direct = critical_det_poly(ahat, standard_diagonal_basis(m, n)).poly
+        if top is not RATIONAL:
+            imag = rand_rational_matrix(gen, m - 1, n)
+            ahat = RectMatrix(
+                [
+                    [GaussianRational(re, im) for re, im in zip(row, irow)]
+                    for row, irow in zip(ahat.entries, imag.entries)
+                ],
+                GAUSSIAN,
+            ).to_domain(top)
+        direct = critical_det_poly(ahat, standard_diagonal_basis(m, n, basis_domain)).poly
         expansion = sds_poly(ahat, m, n).poly
-        assert direct == expansion
+        assert direct.variables == expansion.variables == kappa_variables(m)
+        assert direct.domain is join_domains(top, basis_domain)
+        assert expansion.domain is top
+        assert direct == expansion.with_domain(direct.domain)
 
 
 def test_sds_equals_direct_symbolic():
@@ -253,25 +298,23 @@ def test_symbolic_routes_agree_under_evaluation():
 
 
 def test_minor_basis_small_cases():
-    mb = minor_basis(2, 1)
     kvars = kappa_variables(2)
-    assert list(mb.polys) == [
+    assert maximal_minors(build_T(2, 1)) == [
         MultiPoly.variable(kvars, "k1"),
         MultiPoly.variable(kvars, "k2"),
     ]
-    mb = minor_basis(1, 4)
-    assert list(mb.polys) == [MultiPoly(("k1",), {(4,): 1})]
+    assert maximal_minors(build_T(1, 4)) == [MultiPoly(("k1",), {(4,): 1})]
 
 
 def test_minor_basis_3_2():
-    mb = minor_basis(3, 2)
+    polys = maximal_minors(build_T(3, 2))
     kvars = kappa_variables(3)
 
     def mono(**powers):
         exp = tuple(powers.get(v, 0) for v in kvars)
         return MultiPoly(kvars, {exp: 1})
 
-    assert list(mb.polys) == [
+    assert polys == [
         mono(k1=2),
         mono(k1=1, k2=1),
         mono(k1=1, k3=1),
@@ -283,7 +326,7 @@ def test_minor_basis_3_2():
     monomials = monomial_exponents(3, 2)
     index = {e: i for i, e in enumerate(monomials)}
     grid = [[Fraction(0)] * 6 for _ in range(6)]
-    for j, p in enumerate(mb.polys):
+    for j, p in enumerate(polys):
         for e, c in p.terms.items():
             grid[index[e]][j] = c
     assert RectMatrix(grid).rank() == 6
@@ -336,7 +379,7 @@ def test_critical_roots_are_critical_points(m, n):
             if lead != 0:
                 break
         crit = critical_det_poly(ahat, basis)
-        kvars = crit.kvars
+        kvars = kappa_variables(m)
         # univariate slice: fix all but k1, set k_m = 1
         assignments = {kvars[-1]: 1.0}
         for name in kvars[1:-1]:

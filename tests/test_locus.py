@@ -15,13 +15,18 @@ from rectpencil import (
     SolverConfig,
     UsageError,
     local_multiplicity,
-    newton_system,
     solve_eigenvalue_locus,
     standard_diagonal_basis,
 )
 from rectpencil import locus
 from rectpencil.heine import build_branch_systems
-from rectpencil.locus import _cluster, _CompiledSystem, _solve_steps, system_local_multiplicity
+from rectpencil.locus import (
+    _cluster,
+    _CompiledSystem,
+    _solve_steps,
+    newton_system,
+    system_local_multiplicity,
+)
 
 from helpers import (
     lambda_multiset,
